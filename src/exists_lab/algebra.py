@@ -44,7 +44,7 @@ class SolutionMapping:
         return self.bindings
 
     def restricted(self, variables: Iterable[Variable]) -> "SolutionMapping":
-        allowed = set(variables)
+        allowed = variables if isinstance(variables, (set, frozenset)) else set(variables)
         return SolutionMapping(tuple(kv for kv in self.bindings if kv[0] in allowed))
 
     def merged(self, other: "SolutionMapping") -> "SolutionMapping":

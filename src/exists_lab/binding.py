@@ -5,9 +5,16 @@ the pattern is normalized first, the solution mapping is applied to the
 substitutable (g-registered) variables only, the fresh output variables
 are renamed back to their original names, and the solution's in-domain
 part is joined back in as inline VALUES data.
+
+`bind` is the composition of a per-pattern step, `prepare`, and a
+per-row step, `apply_solution`. The per-row step reads the solution
+only on `Prepared.relevant`, so callers that correlate one pattern with
+many solutions may normalize it once and memoize on the restriction.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .algebra import SolutionMapping
 from .errors import UnsupportedFeatureError
@@ -133,6 +140,49 @@ def encode_values(mu: SolutionMapping, doms: frozenset[Variable] | set[Variable]
     return ValuesNode(tuple(header), (row,))
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """The per-pattern part of `bind`: a star-expanded pattern or
+    expression and its normalization.
+
+    `domain` is the input's in-domain variables (empty for an
+    expression, which gets no VALUES join). `relevant` is every
+    variable of a solution that `apply_solution` reads: the originals
+    in the range of `g`, plus `domain`.
+    """
+
+    node: GraphPattern | Expression
+    normalization: Normalization
+    domain: frozenset[Variable]
+    relevant: frozenset[Variable]
+
+
+def prepare(
+    p: GraphPattern | Expression,
+    semantics: Semantics,
+    *,
+    fresh_start: int = 0,
+    s3_subselect_links: bool = True,
+) -> Prepared:
+    """Expand stars and normalize; independent of any solution."""
+    node = expand_all_stars(p)
+    if isinstance(node, Expression) and semantics is Semantics.S1:
+        raise UnsupportedFeatureError("S1 expression normalization undefined")
+    n = normalize(
+        node, semantics, fresh_start=fresh_start, s3_subselect_links=s3_subselect_links
+    )
+    domain = frozenset() if isinstance(node, Expression) else in_domain(node)
+    return Prepared(node, n, domain, frozenset(n.g.values()) | domain)
+
+
+def apply_solution(prepared: Prepared, mu: SolutionMapping) -> GraphPattern | Expression:
+    """Correlate a prepared pattern or expression with one solution."""
+    substituted = mapping_substitute(prepared.normalization, mu)
+    if isinstance(prepared.node, Expression):
+        return substituted
+    return Join(substituted, encode_values(mu, prepared.domain))
+
+
 def bind(
     p: GraphPattern | Expression,
     mu: SolutionMapping,
@@ -148,13 +198,7 @@ def bind(
     an expression (S2/S3 only) it is the substituted normalization
     alone.
     """
-    node = expand_all_stars(p)
-    if isinstance(node, Expression) and semantics is Semantics.S1:
-        raise UnsupportedFeatureError("S1 expression normalization undefined")
-    n = normalize(
-        node, semantics, fresh_start=fresh_start, s3_subselect_links=s3_subselect_links
+    prepared = prepare(
+        p, semantics, fresh_start=fresh_start, s3_subselect_links=s3_subselect_links
     )
-    substituted = mapping_substitute(n, mu)
-    if isinstance(node, Expression):
-        return substituted
-    return Join(substituted, encode_values(mu, in_domain(node)))
+    return apply_solution(prepared, mu)

@@ -28,7 +28,11 @@ from .turtle import parse_data, term_text
 
 
 def _fresh_start() -> int:
-    return int(os.environ.get("EXISTS_LAB_SEED", "0"))
+    raw = os.environ.get("EXISTS_LAB_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"EXISTS_LAB_SEED must be an integer, got {raw!r}") from None
 
 
 def _read(path: str) -> str:
@@ -210,6 +214,9 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedFeatureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: query nested too deeply to process", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

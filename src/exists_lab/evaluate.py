@@ -5,6 +5,13 @@ correlated with the current solution via `bind` under the selected
 semantics, then checked for non-emptiness against the active graph.
 Expression errors are values, never exceptions; a filter drops a
 candidate solution on both false and error.
+
+`bind` stays the definition, but an `Evaluator` runs its two steps
+separately: each nested pattern is prepared (star-expanded and
+normalized) once per evaluator, and each EXISTS outcome is memoized on
+the pattern, the solution restricted to `Prepared.relevant`, and the
+active graph. `bind` reads nothing else of the solution, so the memo
+returns exactly what per-row `bind` would.
 """
 
 from __future__ import annotations
@@ -21,7 +28,10 @@ from .algebra import (
     minus,
     union,
 )
-from .binding import bind
+from .binding import Prepared, apply_solution, prepare
+# Not called here any more; perfbench/spans.py still hooks the name
+# `exists_lab.evaluate.bind`, which then records zero calls.
+from .binding import bind  # noqa: F401
 from .errors import UnsupportedFeatureError
 from .normalize import Semantics
 from .scope import expand_all_stars, in_domain
@@ -93,6 +103,15 @@ def value(term: Term) -> ExprValue:
     return ExprValue(term)
 
 
+_TRUE_VALUE = value(TRUE)
+_FALSE_VALUE = value(FALSE)
+
+
+def _truth(b: bool) -> ExprValue:
+    """The boolean expression value for `b`, without building a term."""
+    return _TRUE_VALUE if b else _FALSE_VALUE
+
+
 def error(reason: str) -> ExprValue:
     return ExprValue(None, reason)
 
@@ -134,6 +153,11 @@ class Evaluator:
         self.dataset = dataset
         self.semantics = semantics
         self._s3_links = s3_subselect_links
+        # Per-instance memos for `_exists`; see the module docstring.
+        self._prepared: dict[GraphPattern, Prepared] = {}
+        self._outcomes: dict[
+            tuple[GraphPattern, SolutionMapping, frozenset[Triple]], bool
+        ] = {}
 
     def solutions(
         self, pattern: GraphPattern, graph: frozenset[Triple] | None = None
@@ -251,7 +275,7 @@ class Evaluator:
                     return error(f"unbound variable ?{e.var.name}")
                 return value(term)
             case Bound():
-                return value(boolean(e.var in mu))
+                return _truth(e.var in mu)
             case And():
                 return self._and(e, mu, graph)
             case Or():
@@ -260,7 +284,7 @@ class Evaluator:
                 v = ebv(self._expr(e.inner, mu, graph))
                 if v.is_error:
                     return v
-                return value(boolean(v.is_false))
+                return _truth(v.is_false)
             case Compare():
                 return self._compare(e, mu, graph)
             case Add():
@@ -275,35 +299,42 @@ class Evaluator:
                 except ValueError:
                     return error("'+' requires integer operands")
             case Exists():
-                return value(boolean(self._exists(e.pattern, mu, graph)))
+                return _truth(self._exists(e.pattern, mu, graph))
             case NotExists():
-                return value(boolean(not self._exists(e.pattern, mu, graph)))
+                return _truth(not self._exists(e.pattern, mu, graph))
             case _:
                 raise TypeError(f"not an expression: {e!r}")
 
     def _exists(self, pattern: GraphPattern, mu: SolutionMapping, graph: frozenset[Triple]) -> bool:
-        correlated = bind(
-            pattern, mu, self.semantics, s3_subselect_links=self._s3_links
-        )
-        return bool(self._pattern(correlated, graph))
+        prepared = self._prepared.get(pattern)
+        if prepared is None:
+            prepared = prepare(pattern, self.semantics, s3_subselect_links=self._s3_links)
+            self._prepared[pattern] = prepared
+        restricted = mu.restricted(prepared.relevant)
+        key = (pattern, restricted, graph)
+        outcome = self._outcomes.get(key)
+        if outcome is None:
+            correlated = apply_solution(prepared, restricted)
+            outcome = self._outcomes[key] = bool(self._pattern(correlated, graph))
+        return outcome
 
     def _and(self, e: And, mu: SolutionMapping, graph: frozenset[Triple]) -> ExprValue:
         left = ebv(self._expr(e.left, mu, graph))
         right = ebv(self._expr(e.right, mu, graph))
         if left.is_false or right.is_false:
-            return value(FALSE)
+            return _FALSE_VALUE
         if left.is_error or right.is_error:
             return left if left.is_error else right
-        return value(TRUE)
+        return _TRUE_VALUE
 
     def _or(self, e: Or, mu: SolutionMapping, graph: frozenset[Triple]) -> ExprValue:
         left = ebv(self._expr(e.left, mu, graph))
         right = ebv(self._expr(e.right, mu, graph))
         if left.is_true or right.is_true:
-            return value(TRUE)
+            return _TRUE_VALUE
         if left.is_error or right.is_error:
             return left if left.is_error else right
-        return value(FALSE)
+        return _FALSE_VALUE
 
     def _compare(self, e: Compare, mu: SolutionMapping, graph: frozenset[Triple]) -> ExprValue:
         left = self._expr(e.left, mu, graph)
@@ -317,7 +348,7 @@ class Evaluator:
             eq = _term_equal(a, b)
             if eq is None:
                 return error(f"incomparable literals {a.value!r} and {b.value!r}")
-            return value(boolean(eq if e.op == "=" else not eq))
+            return _truth(eq if e.op == "=" else not eq)
         if a.datatype != XSD_INTEGER or b.datatype != XSD_INTEGER:
             return error(f"{e.op!r} requires numeric operands")
         x, y = a.as_int(), b.as_int()
@@ -327,7 +358,7 @@ class Evaluator:
             ">": x > y,
             ">=": x >= y,
         }[e.op]
-        return value(boolean(result))
+        return _truth(result)
 
 
 def evaluate(

@@ -8,6 +8,7 @@ shared freely between concurrent query evaluations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
@@ -126,10 +127,17 @@ class Triple:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A default graph plus zero or more named graphs, all duplicate-free."""
+    """A default graph plus zero or more named graphs, all duplicate-free.
+
+    `named` is a read-only copy of the mapping it is given, so a dataset
+    stays immutable when it is shared.
+    """
 
     default: frozenset[Triple] = field(default_factory=frozenset)
     named: Mapping[str, frozenset[Triple]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "named", MappingProxyType(dict(self.named)))
 
     @classmethod
     def build(

@@ -26,6 +26,7 @@ from exists_lab import (
     Var,
     Variable,
     alpha_equivalent,
+    apply_solution,
     bind,
     encode_values,
     evaluate,
@@ -36,6 +37,7 @@ from exists_lab import (
     mapping_substitute,
     parse_pattern,
     parse_query,
+    prepare,
     serialize,
     sol,
     unit_values,
@@ -241,3 +243,50 @@ class TestBind:
             }
             assert results[Semantics.S1] == results[Semantics.S2]
             assert results[Semantics.S2] == results[Semantics.S3]
+
+
+class TestPrepare:
+    def test_bind_is_prepare_then_apply_solution(self):
+        mappings = [EMPTY_MAPPING, sol(parent=":a"), sol(x=":h", y=":i")]
+        for n in range(1, 11):
+            q = parse_query(fixture(n).query)
+            for sem in Semantics:
+                prepared = prepare(q, sem)
+                for mu in mappings:
+                    assert apply_solution(prepared, mu) == bind(q, mu, sem)
+
+    def test_relevant_is_g_range_and_domain(self):
+        q = parse_query(fixture(2).query)
+        for sem in Semantics:
+            prepared = prepare(q, sem)
+            assert prepared.domain == in_domain(q)
+            assert prepared.relevant == frozenset(prepared.normalization.g.values()) | in_domain(q)
+        condition = prepare(Bound(v("x")), Semantics.S2)
+        assert condition.domain == frozenset()
+        assert condition.relevant == {v("x")}
+
+    def test_s1_expression_prepare_rejected(self):
+        with pytest.raises(UnsupportedFeatureError):
+            prepare(Bound(v("x")), Semantics.S1)
+
+    def test_bind_reads_the_mapping_only_on_relevant_variables(self):
+        # The invariant the evaluator's EXISTS memo rests on:
+        # bind(P, mu) == bind(P, mu|relevant) for every P, mu, semantics.
+        import random
+
+        from gen import random_expression, random_mapping, random_pattern, random_wide_pattern
+
+        rng = random.Random(20150302)
+        narrowed = 0
+        for i in range(300):
+            node = (random_pattern, random_wide_pattern, random_expression)[i % 3](rng)
+            mu = random_mapping(rng, max_vars=6)
+            for sem in Semantics:
+                if sem is Semantics.S1 and i % 3 == 2:
+                    continue
+                relevant = prepare(node, sem).relevant
+                restricted = mu.restricted(relevant)
+                narrowed += restricted != mu
+                assert bind(node, mu, sem) == bind(node, restricted, sem)
+        # Enough cases drop a variable that the check is not vacuous.
+        assert narrowed >= 400

@@ -228,3 +228,24 @@ class TestInspectionCommands:
         )
         assert code == 1
         assert "mapping" in err
+
+    def test_non_integer_seed_names_the_variable(self, capsys, files, monkeypatch):
+        monkeypatch.setenv("EXISTS_LAB_SEED", "abc")
+        query = files("q.rq", "SELECT ?x WHERE { ?x :p ?y }")
+        code, _, err = run_cli(capsys, "normalize", "--query", query, "--semantics", "s2")
+        assert code == 1
+        assert err == "error: EXISTS_LAB_SEED must be an integer, got 'abc'\n"
+
+
+class TestErrors:
+    def test_recursion_limit_exits_4_with_one_line(self, capsys, files):
+        disjuncts = " || ".join(["bound(?x)"] * 1500)
+        data = files("d.ttl", ":a :p :b .")
+        query = files("q.rq", f"SELECT ?x WHERE {{ ?x :p ?o FILTER ({disjuncts}) }}")
+        code, out, err = run_cli(
+            capsys, "run", "--data", data, "--query", query, "--semantics", "s1"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from exists_lab import (
+    Dataset,
     ParseError,
     Term,
     Triple,
@@ -18,7 +19,7 @@ from exists_lab import (
     string,
     typed_literal,
 )
-from exists_lab.fixtures import FIG1
+from exists_lab.fixtures import FIG1, dataset
 
 
 class TestTermInvariants:
@@ -109,6 +110,25 @@ class TestParseData:
         with pytest.raises(ParseError) as err:
             parse_data(":a :p\n:b")
         assert err.value.line >= 1 and err.value.column >= 1
+
+
+class TestDataset:
+    def test_named_graphs_are_read_only(self):
+        t = Triple(iri("urn:ex:a"), iri("urn:ex:p"), iri("urn:ex:b"))
+        given = {"urn:ex:g": frozenset({t})}
+        for ds in (Dataset.build([], given), Dataset(frozenset(), given), dataset("fig1")):
+            with pytest.raises(TypeError):
+                ds.named["urn:ex:h"] = frozenset()
+        # A direct construction copies the mapping it is given.
+        ds = Dataset(frozenset(), given)
+        given["urn:ex:h"] = frozenset()
+        assert list(ds.named) == ["urn:ex:g"]
+
+    def test_read_only_named_graphs_compare_by_value(self):
+        t = Triple(iri("urn:ex:a"), iri("urn:ex:p"), iri("urn:ex:b"))
+        assert Dataset.build([t], {"urn:ex:g": [t]}) == Dataset(
+            frozenset({t}), {"urn:ex:g": frozenset({t})}
+        )
 
 
 class TestRoundTrip:
