@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .syntax import BGP, TriplePattern, Variable
 from .terms import Term, Triple
@@ -87,12 +87,24 @@ def join(o1: frozenset, o2: frozenset) -> frozenset:
     )
 
 
-def left_join(o1: frozenset, o2: frozenset) -> frozenset:
+def left_join(
+    o1: frozenset,
+    o2: frozenset,
+    condition: Callable[[SolutionMapping], bool] | None = None,
+) -> frozenset:
+    """Each left row merged with every compatible right row, or kept
+    alone when it has none.
+
+    With a `condition`, a merged row counts only when the condition
+    holds on it; OPTIONAL's inline filter is such a condition.
+    """
     out: set[SolutionMapping] = set()
     for m1 in o1:
-        mates = [m2 for m2 in o2 if compatible(m1, m2)]
+        mates = [m1.merged(m2) for m2 in o2 if compatible(m1, m2)]
+        if condition is not None:
+            mates = [m for m in mates if condition(m)]
         if mates:
-            out.update(m1.merged(m2) for m2 in mates)
+            out.update(mates)
         else:
             out.add(m1)
     return frozenset(out)
@@ -117,53 +129,89 @@ def match_bgp(
     graph: Iterable[Triple], bgp: BGP | Iterable[TriplePattern]
 ) -> frozenset:
     """All mappings over the BGP's variables whose instantiation is a
-    subset of the graph.
+    subset of the graph: the set of what `iter_bgp` yields."""
+    return frozenset(iter_bgp(graph, bgp))
+
+
+def iter_bgp(
+    graph: Iterable[Triple], bgp: BGP | Iterable[TriplePattern]
+) -> Iterator[SolutionMapping]:
+    """Yield the BGP's matches one at a time, depth first.
+
+    The search keeps an explicit stack with one graph iterator per
+    triple pattern it has bound so far, so it uses no recursion however
+    long the BGP is, and a caller that stops after the first match
+    scans no further. `graph` is iterated once per partial match, so it
+    must be a collection, not a one-shot iterator.
 
     Blank nodes in patterns act as existential variables scoped to the
-    BGP: they constrain matching but are projected away.
+    BGP: they constrain matching but are projected away, so the same
+    mapping can be yielded more than once.
     """
     patterns = bgp.triples if isinstance(bgp, BGP) else tuple(bgp)
-    # Blank labels cannot collide with variables: ':' is not a legal
-    # variable-name character.
-    prepared = [
-        TriplePattern(*(
-            Variable(f"_:{pos.value}") if isinstance(pos, Term) and pos.is_blank else pos
-            for pos in tp.positions()
-        ))
-        for tp in patterns
-    ]
-    rows: list[dict[Variable, Term]] = [{}]
-    for tp in prepared:
-        nxt: list[dict[Variable, Term]] = []
-        for row in rows:
-            for t in graph:
-                extended = _match_triple(tp, t, row)
-                if extended is not None:
-                    nxt.append(extended)
-        rows = nxt
-        if not rows:
-            break
-    return frozenset(
-        SolutionMapping.of(
-            {k: v for k, v in row.items() if not k.name.startswith("_:")}
-        )
-        for row in rows
-    )
+    if not patterns:
+        yield EMPTY_MAPPING
+        return
+    # Partial matches are keyed by variable name, whose hash is cached.
+    # A blank node is keyed as "_:label", which cannot collide with a
+    # variable name (':' is not a legal variable-name character).
+    compiled = []
+    variables: dict[str, Variable] = {}
+    for tp in patterns:
+        consts, names = [], []
+        for i, pos in enumerate(tp.positions()):
+            if isinstance(pos, Variable):
+                names.append((i, pos.name))
+                variables.setdefault(pos.name, pos)
+            elif pos.is_blank:
+                names.append((i, f"_:{pos.value}"))
+            else:
+                consts.append((i, pos))
+        compiled.append((tuple(consts), tuple(names)))
+    last = len(compiled) - 1
+    # rows[i] is the partial match that compiled[i] extends; scans[i]
+    # is where the scan of the graph for compiled[i] resumes.
+    rows: list[dict[str, Term]] = [{}]
+    scans = [iter(graph)]
+    while scans:
+        depth = len(scans) - 1
+        tp, row = compiled[depth], rows[depth]
+        for t in scans[depth]:
+            extended = _match_triple(tp, t, row)
+            if extended is not None:
+                break
+        else:
+            scans.pop()
+            rows.pop()
+            continue
+        if depth == last:
+            yield SolutionMapping.of(
+                (var, extended[name]) for name, var in variables.items()
+            )
+        else:
+            rows.append(extended)
+            scans.append(iter(graph))
 
 
 def _match_triple(
-    tp: TriplePattern, t: Triple, row: dict[Variable, Term]
-) -> dict[Variable, Term] | None:
+    tp: tuple[tuple[tuple[int, Term], ...], tuple[tuple[int, str], ...]],
+    t: Triple,
+    row: dict[str, Term],
+) -> dict[str, Term] | None:
+    """`row` extended to match `t`, or None; `row` itself is not changed."""
+    consts, names = tp
+    terms = t.terms()
+    for i, term in consts:
+        if terms[i] != term:
+            return None
     extended = row
-    for pos, datum in zip(tp.positions(), t.terms()):
-        if isinstance(pos, Variable):
-            bound = extended.get(pos)
-            if bound is None:
-                if extended is row:
-                    extended = dict(row)
-                extended[pos] = datum
-            elif bound != datum:
-                return None
-        elif pos != datum:
+    for i, name in names:
+        datum = terms[i]
+        bound = extended.get(name)
+        if bound is None:
+            if extended is row:
+                extended = dict(row)
+            extended[name] = datum
+        elif bound != datum:
             return None
     return extended

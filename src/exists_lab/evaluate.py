@@ -12,16 +12,27 @@ normalized) once per evaluator, and each EXISTS outcome is memoized on
 the pattern, the solution restricted to `Prepared.relevant`, and the
 active graph. `bind` reads nothing else of the solution, so the memo
 returns exactly what per-row `bind` would.
+
+Only the emptiness of a correlated pattern is observed, so `_exists`
+reads it from a lazy row source, `_rows`, and stops at the first row.
+`_rows` streams BGPs (through `iter_bgp`), filters, sub-select
+projections, unions and joins, and hands every other node to the eager
+`_pattern`. A nested pattern that holds SERVICE anywhere is decided by
+`_pattern` alone, so SERVICE raises wherever it raised before, even in
+a branch the stream would never reach. `docs/substitution-notes.md`
+gives the argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .algebra import (
     SolutionMapping,
     canonical_order,
     compatible,
+    iter_bgp,
     join,
     left_join,
     match_bgp,
@@ -60,6 +71,7 @@ from .syntax import (
     ValuesNode,
     Var,
     Variable,
+    children,
 )
 from .terms import (
     XSD_BOOLEAN,
@@ -154,7 +166,8 @@ class Evaluator:
         self.semantics = semantics
         self._s3_links = s3_subselect_links
         # Per-instance memos for `_exists`; see the module docstring.
-        self._prepared: dict[GraphPattern, Prepared] = {}
+        # A prepared pattern is paired with whether it holds SERVICE.
+        self._prepared: dict[GraphPattern, tuple[Prepared, bool]] = {}
         self._outcomes: dict[
             tuple[GraphPattern, SolutionMapping, frozenset[Triple]], bool
         ] = {}
@@ -205,40 +218,54 @@ class Evaluator:
                 )
             case SubSelect():
                 inner = self._pattern(p.pattern, graph)
-                projection = (
-                    frozenset(p.projection)
-                    if p.projection is not None
-                    else in_domain(p.pattern)
-                )
+                projection = _projection(p)
                 return frozenset(mu.restricted(projection) for mu in inner)
             case _:
                 raise TypeError(f"not a graph pattern: {p!r}")
+
+    def _rows(self, p: GraphPattern, graph: frozenset[Triple]) -> Iterator[SolutionMapping]:
+        """The solutions of `p`, produced lazily and possibly repeated.
+
+        Nodes other than those matched here come from `_pattern` whole.
+        """
+        match p:
+            case BGP():
+                yield from iter_bgp(graph, p)
+            case FilterNode():
+                for mu in self._rows(p.pattern, graph):
+                    if ebv(self._expr(p.condition, mu, graph)).is_true:
+                        yield mu
+            case SubSelect():
+                projection = _projection(p)
+                for mu in self._rows(p.pattern, graph):
+                    yield mu.restricted(projection)
+            case Union():
+                yield from self._rows(p.left, graph)
+                yield from self._rows(p.right, graph)
+            case Join():
+                # The right side is whole first: when it is empty, the
+                # left side is never scanned.
+                right = self._pattern(p.right, graph)
+                if right:
+                    for m1 in self._rows(p.left, graph):
+                        for m2 in right:
+                            if compatible(m1, m2):
+                                yield m1.merged(m2)
+            case _:
+                yield from self._pattern(p, graph)
 
     def _optional(self, p: Optional, graph: frozenset[Triple]) -> frozenset:
         o1 = self._pattern(p.left, graph)
         # An inline filter on the right-hand group becomes the left-join
         # condition, evaluated over the merged solution.
-        if isinstance(p.right, FilterNode):
-            condition = p.right.condition
-            o2 = self._pattern(p.right.pattern, graph)
-        else:
-            condition = None
-            o2 = self._pattern(p.right, graph)
-        if condition is None:
-            return left_join(o1, o2)
-        out: set[SolutionMapping] = set()
-        for m1 in o1:
-            extended = False
-            for m2 in o2:
-                if not compatible(m1, m2):
-                    continue
-                merged = m1.merged(m2)
-                if ebv(self._expr(condition, merged, graph)).is_true:
-                    extended = True
-                    out.add(merged)
-            if not extended:
-                out.add(m1)
-        return frozenset(out)
+        right = p.right
+        if not isinstance(right, FilterNode):
+            return left_join(o1, self._pattern(right, graph))
+        return left_join(
+            o1,
+            self._pattern(right.pattern, graph),
+            condition=lambda mu: ebv(self._expr(right.condition, mu, graph)).is_true,
+        )
 
     def _graph(self, p: GraphNode, graph: frozenset[Triple]) -> frozenset:
         if isinstance(p.name, Variable):
@@ -306,16 +333,19 @@ class Evaluator:
                 raise TypeError(f"not an expression: {e!r}")
 
     def _exists(self, pattern: GraphPattern, mu: SolutionMapping, graph: frozenset[Triple]) -> bool:
-        prepared = self._prepared.get(pattern)
-        if prepared is None:
+        entry = self._prepared.get(pattern)
+        if entry is None:
             prepared = prepare(pattern, self.semantics, s3_subselect_links=self._s3_links)
-            self._prepared[pattern] = prepared
+            entry = self._prepared[pattern] = (prepared, _holds_service(prepared.node))
+        prepared, eager = entry
         restricted = mu.restricted(prepared.relevant)
         key = (pattern, restricted, graph)
         outcome = self._outcomes.get(key)
         if outcome is None:
             correlated = apply_solution(prepared, restricted)
-            outcome = self._outcomes[key] = bool(self._pattern(correlated, graph))
+            rows = self._pattern(correlated, graph) if eager else self._rows(correlated, graph)
+            # Not `any(rows)`: the empty mapping is a row, but falsy.
+            outcome = self._outcomes[key] = any(True for _ in rows)
         return outcome
 
     def _and(self, e: And, mu: SolutionMapping, graph: frozenset[Triple]) -> ExprValue:
@@ -359,6 +389,21 @@ class Evaluator:
             ">=": x >= y,
         }[e.op]
         return _truth(result)
+
+
+def _projection(p: SubSelect) -> frozenset[Variable]:
+    return frozenset(p.projection) if p.projection is not None else in_domain(p.pattern)
+
+
+def _holds_service(node: GraphPattern) -> bool:
+    """Whether a SERVICE occurs anywhere in the node, EXISTS bodies too."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ServiceNode):
+            return True
+        stack.extend(children(n))
+    return False
 
 
 def evaluate(

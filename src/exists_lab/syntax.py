@@ -8,7 +8,8 @@ equality so round-tripping through concrete syntax preserves structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cache
 
 from .terms import Term
 
@@ -210,6 +211,24 @@ def vars_in(node: GraphPattern | Expression | TriplePattern) -> frozenset[Variab
     out: set[Variable] = set()
     _collect_vars(node, out)
     return frozenset(out)
+
+
+def children(node) -> tuple:
+    """The AST nodes directly under `node`, in field order: patterns,
+    expressions and triple patterns, but not terms, variables or VALUES
+    rows."""
+    out = []
+    for name in _field_names(type(node)):
+        value = getattr(node, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, (GraphPattern, Expression, TriplePattern)):
+                out.append(item)
+    return tuple(out)
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 def _collect_vars(node, out: set[Variable]) -> None:

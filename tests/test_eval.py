@@ -49,6 +49,7 @@ from exists_lab import (
     string,
     union,
 )
+from exists_lab.algebra import iter_bgp
 
 
 def ex(name: str):
@@ -91,6 +92,12 @@ class TestAlgebraOps:
         left = frozenset({sol(x=":a"), sol(x=":b")})
         right = frozenset({sol(x=":a", y=":c")})
         assert left_join(left, right) == frozenset({sol(x=":a", y=":c"), sol(x=":b")})
+
+    def test_left_join_condition_is_checked_on_merged_rows(self):
+        left = frozenset({sol(x=":a"), sol(x=":b")})
+        right = frozenset({sol(x=":a", y=":c"), sol(x=":b", y=":d")})
+        got = left_join(left, right, condition=lambda mu: mu.get(v("y")) == ex("c"))
+        assert got == frozenset({sol(x=":a", y=":c"), sol(x=":b")})
 
     def test_union_is_set_union(self):
         assert union(frozenset({sol(x=":a")}), frozenset({sol(x=":a"), sol(y=":b")})) == frozenset(
@@ -145,6 +152,56 @@ class TestMatchBgp:
         )
         # the shared label must denote one node per match
         assert got == frozenset({sol(u=":b", w=":c")})
+
+    def test_iter_bgp_stops_scanning_at_the_first_match(self):
+        class CountingGraph(list):
+            scanned = 0
+
+            def __iter__(self):
+                for t in super().__iter__():
+                    self.scanned += 1
+                    yield t
+
+        graph = CountingGraph(parse_data(
+            "\n".join(f":x{i} :p :y{i} ." for i in range(100))
+        ).default)
+        pattern = bgp((v("s"), ex("p"), v("o")))
+        first = next(iter_bgp(graph, pattern))
+        assert graph.scanned == 1
+        assert first in match_bgp(graph, pattern)
+
+
+class TestLazyExists:
+    """EXISTS reads its correlated pattern only up to the first row."""
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    @pytest.mark.parametrize(
+        "right",
+        [
+            "SERVICE <urn:s> { ?y :p ?z }",
+            "?y :p ?z FILTER EXISTS { SERVICE <urn:s> { ?y :p ?z } }",
+        ],
+    )
+    def test_service_in_a_branch_the_stream_never_reaches_still_raises(self, sem, right):
+        ds = parse_data(":a :p :b .")
+        q = parse_query(
+            f"SELECT * WHERE {{ ?x :p ?w FILTER EXISTS {{ {{ ?y :p ?z }} UNION {{ {right} }} }} }}"
+        )
+        with pytest.raises(UnsupportedFeatureError, match="SERVICE"):
+            evaluate(ds, q, sem)
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_a_ground_body_yields_the_empty_mapping_which_counts(self, sem):
+        ds = parse_data(":a :p :b .")
+        q = parse_query("SELECT * WHERE { ?x :p ?y FILTER EXISTS { :a :p :b } }")
+        assert evaluate(ds, q, sem) == frozenset({sol(x=":a", y=":b")})
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_exists_over_a_long_bgp(self, sem):
+        ds = parse_data(":a :p :a .")
+        long_bgp = bgp(*((v(f"v{i}"), ex("p"), v(f"v{i + 1}")) for i in range(1500)))
+        p = FilterNode(bgp((v("x"), ex("p"), v("y"))), Exists(long_bgp))
+        assert evaluate(ds, p, sem) == frozenset({sol(x=":a", y=":a")})
 
 
 class TestEvalExpr:

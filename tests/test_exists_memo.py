@@ -1,9 +1,11 @@
-"""The evaluator's memoized EXISTS against per-row `bind`.
+"""The evaluator's memoized, lazily decided EXISTS against per-row `bind`.
 
-`Evaluator._exists` prepares each nested pattern once and memoizes each
-outcome on the solution's restriction to the variables `bind` reads.
+`Evaluator._exists` prepares each nested pattern once, memoizes each
+outcome on the solution's restriction to the variables `bind` reads,
+and stops reading the bound pattern at its first solution.
 `PerRowEvaluator` keeps the definition: `bind` from scratch for every
-outer row. Both must give the same solution sets everywhere.
+outer row, and the emptiness of its whole solution set. Both must give
+the same solution sets everywhere.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ CASES = 600
 
 
 class PerRowEvaluator(Evaluator):
-    """The reference path: the unmemoized `bind` for every outer row."""
+    """The reference path: the unmemoized `bind` for every outer row,
+    evaluated to its full solution set."""
 
     def _exists(self, pattern, mu, graph):
         return bool(
@@ -59,6 +62,18 @@ class CountingEvaluator(Evaluator):
     @property
     def memo_hits(self) -> int:
         return self.exists_calls - len(self._outcomes)
+
+
+class ConditionCountingEvaluator(Evaluator):
+    """Counts the `!=` comparisons it evaluates."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.inequalities = 0
+
+    def _compare(self, e, mu, graph):
+        self.inequalities += e.op == "!="
+        return super()._compare(e, mu, graph)
 
 
 def generated_case(seed: int):
@@ -150,3 +165,21 @@ def test_outcomes_are_kept_apart_per_active_graph():
         assert Evaluator(ds, sem).solutions(query) == frozenset(
             {sol(g=":g1", s=":a", o=":b")}
         )
+
+
+def test_exists_stops_at_the_first_solution():
+    # Every one of the 200 :p rows passes the inner filter; one is enough.
+    ds = parse_data(
+        "\n".join(f":x{i} :p :y{i} ." for i in range(200)) + "\n:s1 :q :o .\n:s2 :q :o ."
+    )
+    query = expand_all_stars(
+        parse_query(
+            "SELECT * WHERE { ?s :q ?o FILTER EXISTS { ?x :p ?y FILTER (?y != :none) } }"
+        )
+    )
+    for sem, links in SETTINGS:
+        ev = ConditionCountingEvaluator(ds, sem, s3_subselect_links=links)
+        got = ev.solutions(query)
+        assert got == PerRowEvaluator(ds, sem, s3_subselect_links=links).solutions(query)
+        assert got == frozenset({sol(s=":s1", o=":o"), sol(s=":s2", o=":o")})
+        assert ev.inequalities == len(ev._outcomes) == 1
