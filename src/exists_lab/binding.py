@@ -21,31 +21,17 @@ from .errors import UnsupportedFeatureError
 from .normalize import Normalization, Semantics, normalize, rename
 from .scope import expand_all_stars, in_domain
 from .syntax import (
-    BGP,
-    Add,
-    And,
-    BindNode,
     Bound,
-    Compare,
     Const,
-    Exists,
     Expression,
-    FilterNode,
     GraphNode,
     GraphPattern,
     Join,
-    Minus,
-    Not,
-    NotExists,
-    Optional,
-    Or,
-    ServiceNode,
-    SubSelect,
     TriplePattern,
-    Union,
     ValuesNode,
     Var,
     Variable,
+    map_children,
     unit_values,
 )
 from .terms import Term, boolean
@@ -68,61 +54,35 @@ def mapping_substitute(
 
 
 def _substitute(node, g: dict[Variable, Variable], mu: SolutionMapping):
-    def subst_pos(pos: Term | Variable) -> Term | Variable:
+    """Steps 1 and 2 of `mapping_substitute`.
+
+    The input positions, which a solution may fill with a term, are the
+    triple positions, the GRAPH name, `Var` and `bound()`. Every other
+    variable field is a naming position (BIND target, VALUES header,
+    projection) that cannot hold a term: a g-registered variable there
+    gets its original name back.
+    """
+
+    def position(pos: Term | Variable) -> Term | Variable:
         if isinstance(pos, Variable) and pos in g:
             orig = g[pos]
             value = mu.get(orig)
             return value if value is not None else orig
         return pos
 
-    def subst_naming(v: Variable) -> Variable:
-        # Naming positions cannot hold terms; unrecorded here, restored.
-        return g.get(v, v)
-
     def walk(n):
-        match n:
-            case TriplePattern():
-                return TriplePattern(*(subst_pos(p) for p in n.positions()))
-            case BGP():
-                return BGP(tuple(walk(tp) for tp in n.triples))
-            case Join() | Union() | Optional() | Minus():
-                return type(n)(walk(n.left), walk(n.right))
-            case GraphNode():
-                return GraphNode(subst_pos(n.name), walk(n.pattern))
-            case ServiceNode():
-                return ServiceNode(n.iri, walk(n.pattern))
-            case FilterNode():
-                return FilterNode(walk(n.pattern), walk(n.condition))
-            case BindNode():
-                return BindNode(walk(n.pattern), walk(n.expression), subst_naming(n.var))
-            case ValuesNode():
-                return ValuesNode(tuple(subst_naming(v) for v in n.variables), n.rows)
-            case SubSelect():
-                projection = n.projection
-                if projection is not None:
-                    projection = tuple(subst_naming(v) for v in projection)
-                return SubSelect(projection, walk(n.pattern))
-            case Const():
-                return n
-            case Bound():
-                if n.var in g:
-                    return Const(boolean(g[n.var] in mu))
-                return n
-            case Var():
-                replaced = subst_pos(n.var)
-                if isinstance(replaced, Term):
-                    return Const(replaced)
-                return Var(replaced)
-            case Compare():
-                return Compare(n.op, walk(n.left), walk(n.right))
-            case And() | Or() | Add():
-                return type(n)(walk(n.left), walk(n.right))
-            case Not():
-                return Not(walk(n.inner))
-            case Exists() | NotExists():
-                return type(n)(walk(n.pattern))
-            case _:
-                raise TypeError(f"cannot substitute in {n!r}")
+        if isinstance(n, Variable):
+            return g.get(n, n)
+        if isinstance(n, TriplePattern):
+            return map_children(n, position)
+        if isinstance(n, GraphNode):
+            return GraphNode(position(n.name), walk(n.pattern))
+        if isinstance(n, Var):
+            replaced = position(n.var)
+            return Const(replaced) if isinstance(replaced, Term) else Var(replaced)
+        if isinstance(n, Bound):
+            return Const(boolean(g[n.var] in mu)) if n.var in g else n
+        return map_children(n, walk)
 
     return walk(node)
 

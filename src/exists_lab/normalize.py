@@ -25,12 +25,10 @@ from .syntax import (
     BGP,
     FRESH,
     FRESH_PREFIX,
-    Add,
     And,
     BindNode,
     Bound,
     Compare,
-    Const,
     Exists,
     Expression,
     FilterNode,
@@ -49,9 +47,11 @@ from .syntax import (
     ValuesNode,
     Var,
     Variable,
+    field_names,
+    map_children,
+    ordered_vars,
     vars_in,
 )
-from .terms import Term
 
 
 class Semantics(Enum):
@@ -122,142 +122,35 @@ def rename(m: VarRenaming, node):
     """Replace every occurrence of a key variable by its image.
 
     Accepts patterns, expressions, triple patterns, variables, terms,
-    and renamings (whose *keys* are renamed).
+    and renamings (whose *keys* are renamed). Every variable field is
+    renamed, naming positions (BIND target, VALUES header, projection)
+    included; a node with nothing to rename is returned itself.
     """
     if isinstance(node, dict):
         return {m.get(k, k): v for k, v in node.items()}
-    if isinstance(node, Variable):
-        return m.get(node, node)
-    if isinstance(node, Term):
-        return node
-    match node:
-        case TriplePattern():
-            return TriplePattern(
-                rename(m, node.s), rename(m, node.p), rename(m, node.o)
-            )
-        case BGP():
-            return BGP(tuple(rename(m, tp) for tp in node.triples))
-        case Join() | Union() | Optional() | Minus():
-            return type(node)(rename(m, node.left), rename(m, node.right))
-        case GraphNode():
-            return GraphNode(rename(m, node.name), rename(m, node.pattern))
-        case ServiceNode():
-            return ServiceNode(node.iri, rename(m, node.pattern))
-        case FilterNode():
-            return FilterNode(rename(m, node.pattern), rename(m, node.condition))
-        case BindNode():
-            return BindNode(
-                rename(m, node.pattern), rename(m, node.expression), rename(m, node.var)
-            )
-        case ValuesNode():
-            return ValuesNode(tuple(rename(m, v) for v in node.variables), node.rows)
-        case SubSelect():
-            projection = node.projection
-            if projection is not None:
-                projection = tuple(rename(m, v) for v in projection)
-            return SubSelect(projection, rename(m, node.pattern))
-        case Const():
-            return node
-        case Var():
-            return Var(rename(m, node.var))
-        case Bound():
-            return Bound(rename(m, node.var))
-        case Compare():
-            return Compare(node.op, rename(m, node.left), rename(m, node.right))
-        case And() | Or() | Add():
-            return type(node)(rename(m, node.left), rename(m, node.right))
-        case Not():
-            return Not(rename(m, node.inner))
-        case Exists() | NotExists():
-            return type(node)(rename(m, node.pattern))
-        case _:
-            raise TypeError(f"cannot rename {node!r}")
 
+    def walk(n):
+        if isinstance(n, Variable):
+            return m.get(n, n)
+        return map_children(n, walk)
 
-def _ordered_vars(node) -> list[Variable]:
-    """Distinct variables in left-to-right depth-first order."""
-    seen: set[Variable] = set()
-    out: list[Variable] = []
-
-    def visit(v: Variable) -> None:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-
-    def walk(n) -> None:
-        match n:
-            case TriplePattern():
-                for pos in n.positions():
-                    if isinstance(pos, Variable):
-                        visit(pos)
-            case BGP():
-                for tp in n.triples:
-                    walk(tp)
-            case Join() | Union() | Optional() | Minus():
-                walk(n.left)
-                walk(n.right)
-            case GraphNode():
-                if isinstance(n.name, Variable):
-                    visit(n.name)
-                walk(n.pattern)
-            case ServiceNode() | FilterNode():
-                walk(n.pattern)
-                if isinstance(n, FilterNode):
-                    walk(n.condition)
-            case BindNode():
-                walk(n.pattern)
-                walk(n.expression)
-                visit(n.var)
-            case ValuesNode():
-                for v in n.variables:
-                    visit(v)
-            case SubSelect():
-                if n.projection is not None:
-                    for v in n.projection:
-                        visit(v)
-                walk(n.pattern)
-            case Const():
-                pass
-            case Var() | Bound():
-                visit(n.var)
-            case Compare() | And() | Or() | Add():
-                walk(n.left)
-                walk(n.right)
-            case Not():
-                walk(n.inner)
-            case Exists() | NotExists():
-                walk(n.pattern)
-            case _:
-                raise TypeError(f"not an AST node: {n!r}")
-
-    walk(node)
-    return out
+    return walk(node)
 
 
 def _vars_outside_exists(e: Expression) -> list[Variable]:
     """Distinct variables of an expression occurring outside every
     maximal EXISTS clause, in traversal order."""
-    seen: set[Variable] = set()
-    out: list[Variable] = []
+    seen: dict[Variable, None] = {}
 
-    def walk(n) -> None:
-        match n:
-            case Exists() | NotExists() | Const():
-                pass
-            case Var() | Bound():
-                if n.var not in seen:
-                    seen.add(n.var)
-                    out.append(n.var)
-            case Compare() | And() | Or() | Add():
-                walk(n.left)
-                walk(n.right)
-            case Not():
-                walk(n.inner)
-            case _:
-                raise TypeError(f"not an expression node: {n!r}")
+    def visit(n):
+        if isinstance(n, Variable):
+            seen.setdefault(n)
+        elif not isinstance(n, (Exists, NotExists)):
+            map_children(n, visit)
+        return n
 
-    walk(e)
-    return out
+    visit(e)
+    return list(seen)
 
 
 def _norm_s1(p: GraphPattern, fresh: FreshVars) -> Normalization:
@@ -286,7 +179,7 @@ class _Normalizer:
     def pattern(self, p: GraphPattern) -> Normalization:
         match p:
             case BGP():
-                return self._leaf(p, _ordered_vars(p))
+                return self._leaf(p, ordered_vars(p))
             case ValuesNode():
                 return self._leaf(p, list(p.variables))
             case SubSelect():
@@ -422,34 +315,22 @@ class _Normalizer:
         g = dict(g0)
 
         def walk(node):
-            match node:
-                case Exists() | NotExists():
-                    nq = self.pattern(node.pattern)
-                    f = cr(g0, nq.g)
-                    body = rename(f, nq.node)
-                    for y, orig in nq.g.items():
-                        g[f.get(y, y)] = orig
-                    # Expose each in-domain variable of the nested
-                    # pattern through a linked, substitutable twin.
-                    for x, orig in nq.d.items():
-                        y = self.fresh.mint()
-                        body = FilterNode(body, filter_link(x, y))
-                        g[y] = orig
-                    return type(node)(body)
-                case Const():
-                    return node
-                case Var():
-                    return Var(inv0[node.var])
-                case Bound():
-                    return Bound(inv0[node.var])
-                case Compare():
-                    return Compare(node.op, walk(node.left), walk(node.right))
-                case And() | Or() | Add():
-                    return type(node)(walk(node.left), walk(node.right))
-                case Not():
-                    return Not(walk(node.inner))
-                case _:
-                    raise TypeError(f"not an expression node: {node!r}")
+            if isinstance(node, Variable):
+                return inv0[node]
+            if not isinstance(node, (Exists, NotExists)):
+                return map_children(node, walk)
+            nq = self.pattern(node.pattern)
+            f = cr(g0, nq.g)
+            body = rename(f, nq.node)
+            for y, orig in nq.g.items():
+                g[f.get(y, y)] = orig
+            # Expose each in-domain variable of the nested pattern
+            # through a linked, substitutable twin.
+            for x, orig in nq.d.items():
+                y = self.fresh.mint()
+                body = FilterNode(body, filter_link(x, y))
+                g[y] = orig
+            return type(node)(body)
 
         return Normalization(walk(e), {}, g)
 
@@ -514,68 +395,29 @@ def alpha_equivalent(a: Normalization, b: Normalization) -> bool:
         rev[y] = x
         return True
 
-    def match_pos(x, y) -> bool:
-        if isinstance(x, Variable) and isinstance(y, Variable):
-            return match_var(x, y)
+    def same(x, y) -> bool:
+        # Nodes correspond field by field, variables through the
+        # bijection, and everything else (terms, operators, VALUES rows)
+        # by equality.
+        if isinstance(x, Variable):
+            return isinstance(y, Variable) and match_var(x, y)
+        if isinstance(x, tuple):
+            if not isinstance(y, tuple) or len(x) != len(y):
+                return False
+            for x1, y1 in zip(x, y):
+                if not same(x1, y1):
+                    return False
+            return True
+        if isinstance(x, (GraphPattern, Expression, TriplePattern)):
+            if type(x) is not type(y):
+                return False
+            for name in field_names(type(x)):
+                if not same(getattr(x, name), getattr(y, name)):
+                    return False
+            return True
         return x == y
 
-    def walk(m, n) -> bool:
-        if type(m) is not type(n):
-            return False
-        match m:
-            case BGP():
-                return len(m.triples) == len(n.triples) and all(
-                    match_pos(a1, b1)
-                    for t1, t2 in zip(m.triples, n.triples)
-                    for a1, b1 in zip(t1.positions(), t2.positions())
-                )
-            case Join() | Union() | Optional() | Minus():
-                return walk(m.left, n.left) and walk(m.right, n.right)
-            case GraphNode():
-                return match_pos(m.name, n.name) and walk(m.pattern, n.pattern)
-            case ServiceNode():
-                return m.iri == n.iri and walk(m.pattern, n.pattern)
-            case FilterNode():
-                return walk(m.pattern, n.pattern) and walk(m.condition, n.condition)
-            case BindNode():
-                return (
-                    walk(m.pattern, n.pattern)
-                    and walk(m.expression, n.expression)
-                    and match_var(m.var, n.var)
-                )
-            case ValuesNode():
-                return (
-                    len(m.variables) == len(n.variables)
-                    and all(match_var(a1, b1) for a1, b1 in zip(m.variables, n.variables))
-                    and m.rows == n.rows
-                )
-            case SubSelect():
-                if (m.projection is None) != (n.projection is None):
-                    return False
-                if m.projection is not None:
-                    if len(m.projection) != len(n.projection):
-                        return False
-                    if not all(
-                        match_var(a1, b1) for a1, b1 in zip(m.projection, n.projection)
-                    ):
-                        return False
-                return walk(m.pattern, n.pattern)
-            case Const():
-                return m.term == n.term
-            case Var() | Bound():
-                return match_var(m.var, n.var)
-            case Compare():
-                return m.op == n.op and walk(m.left, n.left) and walk(m.right, n.right)
-            case And() | Or() | Add():
-                return walk(m.left, n.left) and walk(m.right, n.right)
-            case Not():
-                return walk(m.inner, n.inner)
-            case Exists() | NotExists():
-                return walk(m.pattern, n.pattern)
-            case _:
-                raise TypeError(f"not an AST node: {m!r}")
-
-    if not walk(a.node, b.node):
+    if not same(a.node, b.node):
         return False
 
     def translated(m: VarRenaming) -> VarRenaming | None:
@@ -593,39 +435,14 @@ def _bgp_position_vars(node) -> frozenset[Variable]:
     """Variables occurring in a triple position of any BGP, anywhere."""
     out: set[Variable] = set()
 
-    def walk(n) -> None:
-        match n:
-            case BGP():
-                for tp in n.triples:
-                    for pos in tp.positions():
-                        if isinstance(pos, Variable):
-                            out.add(pos)
-            case Join() | Union() | Optional() | Minus():
-                walk(n.left)
-                walk(n.right)
-            case GraphNode() | ServiceNode():
-                walk(n.pattern)
-            case FilterNode():
-                walk(n.pattern)
-                walk(n.condition)
-            case BindNode():
-                walk(n.pattern)
-                walk(n.expression)
-            case ValuesNode() | Const() | Var() | Bound():
-                pass
-            case SubSelect():
-                walk(n.pattern)
-            case Compare() | And() | Or() | Add():
-                walk(n.left)
-                walk(n.right)
-            case Not():
-                walk(n.inner)
-            case Exists() | NotExists():
-                walk(n.pattern)
-            case _:
-                raise TypeError(f"not an AST node: {n!r}")
+    def visit(n):
+        if isinstance(n, TriplePattern):
+            out.update(vars_in(n))
+        elif not isinstance(n, Variable):
+            map_children(n, visit)
+        return n
 
-    walk(node)
+    visit(node)
     return frozenset(out)
 
 
@@ -637,7 +454,7 @@ def normalization_violations(
     """Check the normalization invariants; returns a list of violations."""
     problems: list[str] = []
 
-    for v in vars_in(n.node):
+    for v in ordered_vars(n.node):
         if v.origin != FRESH:
             problems.append(f"non-fresh variable ?{v.name} in normalized node")
             break

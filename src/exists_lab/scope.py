@@ -10,27 +10,18 @@ from __future__ import annotations
 from .syntax import (
     BGP,
     BindNode,
-    Bound,
-    Compare,
-    Add,
-    And,
-    Const,
-    Exists,
     FilterNode,
     GraphNode,
     GraphPattern,
     Join,
     Minus,
-    Not,
-    NotExists,
     Optional,
-    Or,
     ServiceNode,
     SubSelect,
     Union,
     ValuesNode,
-    Var,
     Variable,
+    map_children,
     vars_in,
 )
 
@@ -74,40 +65,11 @@ def expand_all_stars(node):
     """Expand every star projection in a pattern or expression, bottom-up.
 
     Run once before normalization so all semantics see identical
-    projections.
+    projections. A node without a star projection is returned itself.
     """
-    match node:
-        case BGP() | ValuesNode() | Const() | Var() | Bound():
-            return node
-        case Join() | Union() | Optional() | Minus():
-            return type(node)(expand_all_stars(node.left), expand_all_stars(node.right))
-        case GraphNode():
-            return GraphNode(node.name, expand_all_stars(node.pattern))
-        case ServiceNode():
-            return ServiceNode(node.iri, expand_all_stars(node.pattern))
-        case FilterNode():
-            return FilterNode(
-                expand_all_stars(node.pattern), expand_all_stars(node.condition)
-            )
-        case BindNode():
-            return BindNode(
-                expand_all_stars(node.pattern),
-                expand_all_stars(node.expression),
-                node.var,
-            )
-        case SubSelect():
-            inner = expand_all_stars(node.pattern)
-            expanded = SubSelect(node.projection, inner)
-            if expanded.is_star:
-                expanded = expand_star(expanded)
-            return expanded
-        case Compare():
-            return Compare(node.op, expand_all_stars(node.left), expand_all_stars(node.right))
-        case And() | Or() | Add():
-            return type(node)(expand_all_stars(node.left), expand_all_stars(node.right))
-        case Not():
-            return Not(expand_all_stars(node.inner))
-        case Exists() | NotExists():
-            return type(node)(expand_all_stars(node.pattern))
-        case _:
-            raise TypeError(f"not an AST node: {node!r}")
+    if isinstance(node, (BGP, ValuesNode, Variable)):
+        return node
+    node = map_children(node, expand_all_stars)
+    if isinstance(node, SubSelect) and node.is_star:
+        return expand_star(node)
+    return node

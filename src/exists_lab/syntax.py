@@ -4,12 +4,17 @@ All nodes are immutable. Variable identity is the bare name (no `?`
 sigil); the `origin` tag records whether a variable came from user text
 or was minted during normalization, and is deliberately excluded from
 equality so round-tripping through concrete syntax preserves structure.
+
+A node's children are derived from its dataclass fields: `children`
+lists them and `map_children` rebuilds a node from them, so a walker
+states only the cases in which it differs from plain recursion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 from .terms import Term
 
@@ -205,75 +210,111 @@ class NotExists(Expression):
     pattern: GraphPattern
 
 
+_NODES = (GraphPattern, Expression, TriplePattern)
+_CHILDREN = (Variable,) + _NODES
+
+
 def vars_in(node: GraphPattern | Expression | TriplePattern) -> frozenset[Variable]:
     """Every variable occurring anywhere in the node, including inside
     EXISTS patterns, projections, VALUES headers, and bound()."""
-    out: set[Variable] = set()
-    _collect_vars(node, out)
-    return frozenset(out)
+    return frozenset(ordered_vars(node))
+
+
+def ordered_vars(node) -> list[Variable]:
+    """The distinct variables of `node` in depth-first field order: a
+    GRAPH name before its pattern, a projection before its body, a BIND
+    target after its expression."""
+    seen: dict[Variable, None] = {}
+
+    def visit(n):
+        if isinstance(n, Variable):
+            seen.setdefault(n)
+        else:
+            map_children(n, visit)
+        return n
+
+    visit(node)
+    return list(seen)
 
 
 def children(node) -> tuple:
     """The AST nodes directly under `node`, in field order: patterns,
-    expressions and triple patterns, but not terms, variables or VALUES
-    rows."""
+    expressions and triple patterns, but not variables."""
     out = []
-    for name in _field_names(type(node)):
+    for _, name, many in _child_fields(type(node)):
         value = getattr(node, name)
-        for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, (GraphPattern, Expression, TriplePattern)):
+        for item in (value or ()) if many else (value,):
+            if isinstance(item, _NODES):
                 out.append(item)
     return tuple(out)
 
 
+def map_children(node, f):
+    """Rebuild `node` through its constructor with `f` applied to each
+    child node and each variable, in field order.
+
+    Only fields whose type admits a node or a variable are read, so
+    terms, `Compare.op`, `ServiceNode.iri` and VALUES rows never reach
+    `f`; a term in a triple or GRAPH position is kept as it is. When `f`
+    returns every argument unchanged, `node` itself is returned.
+    Otherwise the constructor runs, and with it every `__post_init__`
+    check. A term, a variable or any other node without such fields is
+    returned as it is.
+    """
+    cls = type(node)
+    args = None
+    for i, name, many in _child_fields(cls):
+        old = getattr(node, name)
+        if many:
+            if old is None:
+                continue
+            items = None
+            for j, item in enumerate(old):
+                mapped = f(item)
+                if mapped is not item:
+                    if items is None:
+                        items = list(old)
+                    items[j] = mapped
+            if items is None:
+                continue
+            new = tuple(items)
+        elif isinstance(old, _CHILDREN):
+            new = f(old)
+            if new is old:
+                continue
+        else:
+            continue
+        if args is None:
+            args = [getattr(node, n) for n in field_names(cls)]
+        args[i] = new
+    return node if args is None else cls(*args)
+
+
+
 @cache
-def _field_names(cls: type) -> tuple[str, ...]:
+def field_names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-def _collect_vars(node, out: set[Variable]) -> None:
-    match node:
-        case TriplePattern():
-            for pos in node.positions():
-                if isinstance(pos, Variable):
-                    out.add(pos)
-        case BGP():
-            for tp in node.triples:
-                _collect_vars(tp, out)
-        case Join() | Union() | Optional() | Minus():
-            _collect_vars(node.left, out)
-            _collect_vars(node.right, out)
-        case GraphNode():
-            if isinstance(node.name, Variable):
-                out.add(node.name)
-            _collect_vars(node.pattern, out)
-        case ServiceNode():
-            _collect_vars(node.pattern, out)
-        case FilterNode():
-            _collect_vars(node.pattern, out)
-            _collect_vars(node.condition, out)
-        case BindNode():
-            _collect_vars(node.pattern, out)
-            _collect_vars(node.expression, out)
-            out.add(node.var)
-        case ValuesNode():
-            out.update(node.variables)
-        case SubSelect():
-            if node.projection is not None:
-                out.update(node.projection)
-            _collect_vars(node.pattern, out)
-        case Const():
-            pass
-        case Var():
-            out.add(node.var)
-        case Bound():
-            out.add(node.var)
-        case Compare() | And() | Or() | Add():
-            _collect_vars(node.left, out)
-            _collect_vars(node.right, out)
-        case Not():
-            _collect_vars(node.inner, out)
-        case Exists() | NotExists():
-            _collect_vars(node.pattern, out)
-        case _:
-            raise TypeError(f"not an AST node: {node!r}")
+@cache
+def _child_fields(cls: type) -> tuple[tuple[int, str, bool], ...]:
+    """(position, name, holds a tuple) of each field of `cls` whose type
+    admits a node or a variable."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (i, name, _is_tuple(hints[name]))
+        for i, name in enumerate(field_names(cls))
+        if _admits_child(hints[name])
+    )
+
+
+def _admits_child(hint) -> bool:
+    # On Python 3.10 a parameterized alias such as `tuple[X, ...]` also
+    # passes `isinstance(hint, type)`; it has arguments, a class has none.
+    if isinstance(hint, type) and not get_args(hint):
+        return issubclass(hint, _CHILDREN)
+    return any(_admits_child(arg) for arg in get_args(hint) if arg is not Ellipsis)
+
+
+def _is_tuple(hint) -> bool:
+    return get_origin(hint) is tuple or any(get_origin(arg) is tuple for arg in get_args(hint))
