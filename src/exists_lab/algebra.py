@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
 from .syntax import BGP, TriplePattern, Variable
-from .terms import Term, Triple
+from .terms import Graph, Term, Triple
 
 
 @dataclass(frozen=True)
@@ -134,15 +135,27 @@ def match_bgp(
 
 
 def iter_bgp(
-    graph: Iterable[Triple], bgp: BGP | Iterable[TriplePattern]
+    graph: Iterable[Triple],
+    bgp: BGP | Iterable[TriplePattern],
+    seed: SolutionMapping = EMPTY_MAPPING,
 ) -> Iterator[SolutionMapping]:
-    """Yield the BGP's matches one at a time, depth first.
+    """Yield the BGP's matches that are compatible with `seed`, one at
+    a time, depth first.
 
-    The search keeps an explicit stack with one graph iterator per
-    triple pattern it has bound so far, so it uses no recursion however
-    long the BGP is, and a caller that stops after the first match
-    scans no further. `graph` is iterated once per partial match, so it
-    must be a collection, not a one-shot iterator.
+    The match starts from `seed`: each seeded variable of the BGP is
+    bound before any triple is read, and seed variables the BGP lacks
+    are ignored. Triple patterns are taken greedily, most bound
+    positions first, counting constants, seeded variables and variables
+    bound by the patterns taken before; ties keep BGP order. Over a
+    `Graph`, each pattern reads the shortest lookup list among its bound
+    positions, and the whole graph only when none is bound. Any other
+    collection is scanned whole for every pattern, in its own order.
+
+    The search keeps an explicit stack with one iterator per triple
+    pattern it has bound so far, so it uses no recursion however long
+    the BGP is, and a caller that stops after the first match reads no
+    further. `graph` is read once per partial match, so it must be a
+    collection, not a one-shot iterator.
 
     Blank nodes in patterns act as existential variables scoped to the
     BGP: they constrain matching but are projected away, so the same
@@ -168,14 +181,45 @@ def iter_bgp(
             else:
                 consts.append((i, pos))
         compiled.append((tuple(consts), tuple(names)))
-    last = len(compiled) - 1
-    # rows[i] is the partial match that compiled[i] extends; scans[i]
-    # is where the scan of the graph for compiled[i] resumes.
-    rows: list[dict[str, Term]] = [{}]
-    scans = [iter(graph)]
+    start = {k.name: v for k, v in seed.bindings if k.name in variables}
+    output = sorted(variables.items())
+    indexed = isinstance(graph, Graph)
+    # steps[d] is the d-th pattern taken: its constants and names, the
+    # positions whose name is bound before it, and the shortest lookup
+    # list of its constants (None when it has none or `graph` is not
+    # indexed).
+    steps = []
+    bound = set(start)
+    for k in _greedy_order(compiled, bound):
+        consts, names = compiled[k]
+        probes = tuple((i, name) for i, name in names if name in bound)
+        bound.update(name for _, name in names)
+        shortest = None
+        if indexed:
+            for i, term in consts:
+                found = graph.lookup(i, term)
+                if shortest is None or len(found) < len(shortest):
+                    shortest = found
+        steps.append(((consts, names), probes, shortest))
+
+    def candidates(depth: int, row: dict[str, Term]) -> Iterable[Triple]:
+        if not indexed:
+            return graph
+        _, probes, shortest = steps[depth]
+        for i, name in probes:
+            found = graph.lookup(i, row[name])
+            if shortest is None or len(found) < len(shortest):
+                shortest = found
+        return graph.triples if shortest is None else shortest
+
+    last = len(steps) - 1
+    # rows[d] is the partial match that steps[d] extends; scans[d] is
+    # where the read of its candidate triples resumes.
+    rows: list[dict[str, Term]] = [start]
+    scans = [iter(candidates(0, start))]
     while scans:
         depth = len(scans) - 1
-        tp, row = compiled[depth], rows[depth]
+        tp, row = steps[depth][0], rows[depth]
         for t in scans[depth]:
             extended = _match_triple(tp, t, row)
             if extended is not None:
@@ -185,12 +229,45 @@ def iter_bgp(
             rows.pop()
             continue
         if depth == last:
-            yield SolutionMapping.of(
-                (var, extended[name]) for name, var in variables.items()
-            )
+            yield SolutionMapping(tuple((var, extended[name]) for name, var in output))
         else:
             rows.append(extended)
-            scans.append(iter(graph))
+            scans.append(iter(candidates(depth + 1, extended)))
+
+
+def _greedy_order(
+    compiled: list[tuple[tuple[tuple[int, Term], ...], tuple[tuple[int, str], ...]]],
+    bound: set[str],
+) -> list[int]:
+    """Pattern indices, each time the first one with the most bound
+    positions, given the names in `bound` and those of the patterns
+    taken before it."""
+    if len(compiled) == 1:
+        return [0]
+    # users[name]: the patterns holding the unbound `name`, once per
+    # position; binding it adds one to each of their counts.
+    users: dict[str, list[int]] = {}
+    counts = []
+    for k, (consts, names) in enumerate(compiled):
+        count = len(consts)
+        for _, name in names:
+            if name in bound:
+                count += 1
+            elif name in users:
+                users[name].append(k)
+            else:
+                users[name] = [k]
+        counts.append(count)
+    remaining = list(range(len(compiled)))
+    order = []
+    while remaining:
+        k = max(remaining, key=counts.__getitem__)
+        remaining.remove(k)
+        order.append(k)
+        for _, name in compiled[k][1]:
+            for j in users.pop(name, ()):
+                counts[j] += 1
+    return order
 
 
 def _match_triple(

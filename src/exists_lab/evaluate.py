@@ -17,9 +17,14 @@ Only the emptiness of a correlated pattern is observed, so `_exists`
 reads it from a lazy row source, `_rows`, and stops at the first row.
 `_rows` streams BGPs (through `iter_bgp`), filters, sub-select
 projections, unions and joins, and hands every other node to the eager
-`_pattern`. A nested pattern that holds SERVICE anywhere is decided by
-`_pattern` alone, so SERVICE raises wherever it raised before, even in
-a branch the stream would never reach. `docs/substitution-notes.md`
+`_pattern`. It also takes a seed: it may leave out rows incompatible
+with it. The correlated pattern is `Join(substituted, VALUES)`, and the
+one VALUES row seeds the substituted side, so its BGPs start from the
+solution's values and read the graph's lookup lists instead of
+scanning it. A filter adds the variable of each `?x = <IRI>` conjunct
+to the seed. A nested pattern that holds SERVICE anywhere is decided
+by `_pattern` alone, so SERVICE raises wherever it raised before, even
+in a branch the stream would never reach. `docs/substitution-notes.md`
 gives the argument.
 """
 
@@ -29,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .algebra import (
+    EMPTY_MAPPING,
     SolutionMapping,
     canonical_order,
     compatible,
@@ -223,34 +229,55 @@ class Evaluator:
             case _:
                 raise TypeError(f"not a graph pattern: {p!r}")
 
-    def _rows(self, p: GraphPattern, graph: frozenset[Triple]) -> Iterator[SolutionMapping]:
+    def _rows(
+        self,
+        p: GraphPattern,
+        graph: frozenset[Triple],
+        seed: SolutionMapping = EMPTY_MAPPING,
+    ) -> Iterator[SolutionMapping]:
         """The solutions of `p`, produced lazily and possibly repeated.
 
-        Nodes other than those matched here come from `_pattern` whole.
+        Rows incompatible with `seed` may be left out; every row
+        compatible with it is produced. BGPs start their match from the
+        seed, and joins, filters, sub-selects and unions pass it down.
+        Nodes other than those matched here ignore the seed and come
+        from `_pattern` whole.
         """
         match p:
             case BGP():
-                yield from iter_bgp(graph, p)
+                yield from iter_bgp(graph, p, seed)
             case FilterNode():
-                for mu in self._rows(p.pattern, graph):
+                # Every row the condition keeps binds each `?x = <IRI>`
+                # conjunct's variable to that IRI.
+                inner = _seed_equalities(seed, p.condition)
+                if inner is None:
+                    return
+                for mu in self._rows(p.pattern, graph, inner):
                     if ebv(self._expr(p.condition, mu, graph)).is_true:
                         yield mu
             case SubSelect():
                 projection = _projection(p)
-                for mu in self._rows(p.pattern, graph):
+                for mu in self._rows(p.pattern, graph, seed.restricted(projection)):
                     yield mu.restricted(projection)
             case Union():
-                yield from self._rows(p.left, graph)
-                yield from self._rows(p.right, graph)
+                yield from self._rows(p.left, graph, seed)
+                yield from self._rows(p.right, graph, seed)
             case Join():
                 # The right side is whole first: when it is empty, the
-                # left side is never scanned.
+                # left side is never read. A single right row, such as
+                # the VALUES row of `apply_solution`'s
+                # Join(substituted, VALUES), seeds the left side. With
+                # several, the left side is read once from `seed`
+                # alone: seeding it per right row would evaluate a left
+                # side that ignores seeds (OPTIONAL, say) once per row.
                 right = self._pattern(p.right, graph)
-                if right:
-                    for m1 in self._rows(p.left, graph):
-                        for m2 in right:
-                            if compatible(m1, m2):
-                                yield m1.merged(m2)
+                if not right:
+                    return
+                left_seed = seed.merged(next(iter(right))) if len(right) == 1 else seed
+                for m1 in self._rows(p.left, graph, left_seed):
+                    for m2 in right:
+                        if compatible(m1, m2):
+                            yield m1.merged(m2)
             case _:
                 yield from self._pattern(p, graph)
 
@@ -389,6 +416,31 @@ class Evaluator:
             ">=": x >= y,
         }[e.op]
         return _truth(result)
+
+
+def _seed_equalities(seed: SolutionMapping, condition: Expression) -> SolutionMapping | None:
+    """`seed` plus ?x = <c> for each top-level `&&` conjunct `?x = <c>`
+    (either way round) of `condition`, or None when two of them, or one
+    and the seed, bind a variable to different terms.
+
+    Only IRIs seed: `=` on IRIs is term identity, so a row the condition
+    keeps binds ?x to exactly <c>. On literals `=` compares values, and
+    `?x = 1` also holds for "01"^^xsd:integer.
+    """
+    extra: dict[Variable, Term] = {}
+    stack = [condition]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, And):
+            stack += (e.right, e.left)
+        elif isinstance(e, Compare) and e.op == "=":
+            for a, b in ((e.left, e.right), (e.right, e.left)):
+                if isinstance(a, Var) and isinstance(b, Const) and b.term.is_iri:
+                    known = extra.get(a.var) or seed.get(a.var)
+                    if known is not None and known != b.term:
+                        return None
+                    extra[a.var] = b.term
+    return seed.merged(SolutionMapping.of(extra)) if extra else seed
 
 
 def _projection(p: SubSelect) -> frozenset[Variable]:

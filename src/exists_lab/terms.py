@@ -1,4 +1,4 @@
-"""RDF terms, triples, and datasets.
+"""RDF terms, triples, graphs and datasets.
 
 The literal model is deliberately small: plain strings, integers, and
 booleans. Everything is immutable after construction so datasets can be
@@ -125,19 +125,68 @@ class Triple:
         return (self.s, self.p, self.o)
 
 
+class Graph(frozenset):
+    """A set of triples with a lookup table built once, at construction.
+
+    It is a frozenset, so it compares and hashes like one. `triples`
+    holds the members in one fixed order, sorted on their terms' values,
+    kinds and datatypes, so the order does not depend on the string hash
+    seed. `lookup(position, term)` gives the triples that hold `term` at
+    `position` (0, 1, 2 for subject, predicate, object), in the same
+    order: the per-position index of Weiss, Karras & Bernstein,
+    *Hexastore* (VLDB 2008), kept as one dict.
+    """
+
+    __slots__ = ("triples", "_index")
+
+    def __new__(cls, triples: Iterable[Triple] = ()) -> "Graph":
+        self = super().__new__(cls, triples)
+        self.triples = tuple(sorted(self, key=_triple_order))
+        # Keyed on the fields of each term rather than the term, whose
+        # hash is a Python call: the table is built for every dataset.
+        index: dict[tuple, list[Triple]] = {}
+        for t in self.triples:
+            s, p, o = t.s, t.p, t.o
+            for key in (
+                (0, s.kind, s.value, None),
+                (1, p.kind, p.value, None),
+                (2, o.kind, o.value, o.datatype),
+            ):
+                found = index.get(key)
+                if found is None:
+                    index[key] = [t]
+                else:
+                    found.append(t)
+        self._index = {key: tuple(ts) for key, ts in index.items()}
+        return self
+
+    def lookup(self, position: int, term: Term) -> tuple[Triple, ...]:
+        """The triples holding `term` at `position`."""
+        return self._index.get((position, term.kind, term.value, term.datatype), ())
+
+
+def _triple_order(t: Triple) -> tuple:
+    # Distinct triples get distinct keys, and no key reads a hash.
+    s, p, o = t.s, t.p, t.o
+    return (s.value, p.value, o.value, s.kind, o.kind, o.datatype or "")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A default graph plus zero or more named graphs, all duplicate-free.
 
-    `named` is a read-only copy of the mapping it is given, so a dataset
-    stays immutable when it is shared.
+    Every graph is stored as a `Graph`, so its lookup table is built
+    once, here. `named` is a read-only copy of the mapping it is given,
+    so a dataset stays immutable when it is shared.
     """
 
     default: frozenset[Triple] = field(default_factory=frozenset)
     named: Mapping[str, frozenset[Triple]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "named", MappingProxyType(dict(self.named)))
+        object.__setattr__(self, "default", _graph(self.default))
+        named = {name: _graph(ts) for name, ts in self.named.items()}
+        object.__setattr__(self, "named", MappingProxyType(named))
 
     @classmethod
     def build(
@@ -146,13 +195,17 @@ class Dataset:
         named: Mapping[str, Iterable[Triple]] | None = None,
     ) -> "Dataset":
         return cls(
-            frozenset(default),
-            {name: frozenset(ts) for name, ts in (named or {}).items()},
+            Graph(default),
+            {name: Graph(ts) for name, ts in (named or {}).items()},
         )
 
-    def graph(self, name: str) -> frozenset[Triple] | None:
+    def graph(self, name: str) -> Graph | None:
         """The named graph for `name`, or None when undeclared."""
         return self.named.get(name)
+
+
+def _graph(triples: Iterable[Triple]) -> Graph:
+    return triples if isinstance(triples, Graph) else Graph(triples)
 
 
 def graph_terms(triples: Iterable[Triple]) -> frozenset[Term]:
