@@ -1,15 +1,22 @@
 """Set-semantics evaluation with three-valued filter logic.
 
 EXISTS is evaluated operationally: at filter time the nested pattern is
-correlated with the current solution via `bind` under the selected
-semantics, then checked for non-emptiness against the active graph.
-Expression errors are values, never exceptions; a filter drops a
-candidate solution on both false and error.
+correlated with the current solution under the selected semantics, then
+checked for non-emptiness against the active graph. Expression errors
+are values, never exceptions; a filter drops a candidate solution on
+both false and error.
 
-`bind` stays the definition, but an `Evaluator` runs its two steps
-separately: each nested pattern is prepared (star-expanded and
-normalized) once per evaluator, and each EXISTS outcome is memoized on
-the pattern, the solution restricted to `Prepared.relevant`, and the
+`bind` stays the definition: normalize the nested pattern to
+`(P', d, g)`, substitute the solution into the g-registered variables,
+rename back by `d` and join with the solution's in-domain part as
+VALUES. An `Evaluator` computes the same outcome without rebuilding
+`P'`. It prepares (star-expands and normalizes) each nested pattern
+once, and evaluates `P'` in its fresh names under an environment that
+maps each g-key to the solution's value of its original. The VALUES
+join becomes a seed, the in-domain values under their d-keys, and a
+compatibility probe on each row; renaming back changes no emptiness.
+Each outcome is memoized on the pattern object, the solution (and the
+enclosing environment) restricted to `Prepared.relevant`, and the
 active graph. `bind` reads nothing else of the solution, so the memo
 returns exactly what per-row `bind` would.
 
@@ -18,14 +25,13 @@ reads it from a lazy row source, `_rows`, and stops at the first row.
 `_rows` streams BGPs (through `iter_bgp`), filters, sub-select
 projections, unions and joins, and hands every other node to the eager
 `_pattern`. It also takes a seed: it may leave out rows incompatible
-with it. The correlated pattern is `Join(substituted, VALUES)`, and the
-one VALUES row seeds the substituted side, so its BGPs start from the
-solution's values and read the graph's lookup lists instead of
-scanning it. A filter adds the variable of each `?x = <IRI>` conjunct
-to the seed. A nested pattern that holds SERVICE anywhere is decided
-by `_pattern` alone, so SERVICE raises wherever it raised before, even
-in a branch the stream would never reach. `docs/substitution-notes.md`
-gives the argument.
+with it. BGPs start their match from the seed and read the graph's
+lookup lists instead of scanning it. A filter adds the variable of
+each `?x = <IRI>` conjunct to the seed, and of each `?x = ?y` conjunct
+whose `?y` the environment binds to an IRI. A nested pattern that
+holds SERVICE anywhere is decided by `_pattern` alone, so SERVICE
+raises wherever it raised before, even in a branch the stream would
+never reach. `docs/substitution-notes.md` gives the argument.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .algebra import (
     minus,
     union,
 )
-from .binding import Prepared, apply_solution, prepare
+from .binding import Prepared, prepare
 # Not called here any more; perfbench/spans.py still hooks the name
 # `exists_lab.evaluate.bind`, which then records zero calls.
 from .binding import bind  # noqa: F401
@@ -171,12 +177,13 @@ class Evaluator:
         self.dataset = dataset
         self.semantics = semantics
         self._s3_links = s3_subselect_links
-        # Per-instance memos for `_exists`; see the module docstring.
-        # A prepared pattern is paired with whether it holds SERVICE.
-        self._prepared: dict[GraphPattern, tuple[Prepared, bool]] = {}
-        self._outcomes: dict[
-            tuple[GraphPattern, SolutionMapping, frozenset[Triple]], bool
-        ] = {}
+        # Per-instance memos for `_exists`, keyed on the identity of a
+        # nested pattern; see the module docstring.
+        self._prepared: dict[int, _Body] = {}
+        self._outcomes: dict[tuple[int, SolutionMapping, frozenset[Triple]], bool] = {}
+        # The g-keys of the normalized body being evaluated, mapped to
+        # their terms; empty outside every EXISTS.
+        self._env: dict[Variable, Term] = {}
 
     def solutions(
         self, pattern: GraphPattern, graph: frozenset[Triple] | None = None
@@ -248,8 +255,8 @@ class Evaluator:
                 yield from iter_bgp(graph, p, seed)
             case FilterNode():
                 # Every row the condition keeps binds each `?x = <IRI>`
-                # conjunct's variable to that IRI.
-                inner = _seed_equalities(seed, p.condition)
+                # conjunct's variable to that IRI (see `_seed_equalities`).
+                inner = _seed_equalities(seed, p.condition, self._env)
                 if inner is None:
                     return
                 for mu in self._rows(p.pattern, graph, inner):
@@ -264,12 +271,11 @@ class Evaluator:
                 yield from self._rows(p.right, graph, seed)
             case Join():
                 # The right side is whole first: when it is empty, the
-                # left side is never read. A single right row, such as
-                # the VALUES row of `apply_solution`'s
-                # Join(substituted, VALUES), seeds the left side. With
-                # several, the left side is read once from `seed`
-                # alone: seeding it per right row would evaluate a left
-                # side that ignores seeds (OPTIONAL, say) once per row.
+                # left side is never read. A single right row seeds the
+                # left side. With several, the left side is read once
+                # from `seed` alone: seeding it per right row would
+                # evaluate a left side that ignores seeds (OPTIONAL,
+                # say) once per row.
                 right = self._pattern(p.right, graph)
                 if not right:
                     return
@@ -324,12 +330,13 @@ class Evaluator:
             case Const():
                 return value(e.term)
             case Var():
-                term = mu.get(e.var)
+                # A g-key is never in a row, so the two never disagree.
+                term = mu.get(e.var) or self._env.get(e.var)
                 if term is None:
                     return error(f"unbound variable ?{e.var.name}")
                 return value(term)
             case Bound():
-                return _truth(e.var in mu)
+                return _truth(e.var in mu or e.var in self._env)
             case And():
                 return self._and(e, mu, graph)
             case Or():
@@ -360,19 +367,41 @@ class Evaluator:
                 raise TypeError(f"not an expression: {e!r}")
 
     def _exists(self, pattern: GraphPattern, mu: SolutionMapping, graph: frozenset[Triple]) -> bool:
-        entry = self._prepared.get(pattern)
-        if entry is None:
+        """Whether `bind(pattern, mu)` has a solution in `graph`.
+
+        The normalized body `P'` is evaluated in its fresh names with
+        `self._env` mapping each g-key to `mu`'s value of its original,
+        and seeded with `mu`'s in-domain values under their d-keys.
+        `mu` here is the row in the enclosing body's names, read
+        together with the enclosing environment. The environment is an
+        attribute, not a parameter, because the row sources keep their
+        signatures; that is safe for the lazy rows, since every stream
+        opened under an environment is consumed by `any` before this
+        call restores the enclosing one.
+        """
+        body = self._prepared.get(id(pattern))
+        if body is None:
             prepared = prepare(pattern, self.semantics, s3_subselect_links=self._s3_links)
-            entry = self._prepared[pattern] = (prepared, _holds_service(prepared.node))
-        prepared, eager = entry
-        restricted = mu.restricted(prepared.relevant)
-        key = (pattern, restricted, graph)
+            body = self._prepared[id(pattern)] = _Body.of(pattern, prepared)
+        known = mu.restricted(body.relevant)
+        outer = [kv for kv in self._env.items() if kv[0] in body.relevant]
+        if outer:
+            known = known.merged(SolutionMapping(tuple(outer)))
+        key = (id(pattern), known, graph)
         outcome = self._outcomes.get(key)
         if outcome is None:
-            correlated = apply_solution(prepared, restricted)
-            rows = self._pattern(correlated, graph) if eager else self._rows(correlated, graph)
-            # Not `any(rows)`: the empty mapping is a row, but falsy.
-            outcome = self._outcomes[key] = any(True for _ in rows)
+            values = dict(known.bindings)
+            env = {k: values[v] for k, v in body.g if v in values}
+            seed = SolutionMapping.of((k, values[v]) for k, v in body.d if v in values)
+            enclosing, self._env = self._env, env
+            try:
+                if body.eager:
+                    rows = self._pattern(body.node, graph)
+                else:
+                    rows = self._rows(body.node, graph, seed)
+                outcome = self._outcomes[key] = any(compatible(r, seed) for r in rows)
+            finally:
+                self._env = enclosing
         return outcome
 
     def _and(self, e: And, mu: SolutionMapping, graph: frozenset[Triple]) -> ExprValue:
@@ -418,10 +447,15 @@ class Evaluator:
         return _truth(result)
 
 
-def _seed_equalities(seed: SolutionMapping, condition: Expression) -> SolutionMapping | None:
+def _seed_equalities(
+    seed: SolutionMapping, condition: Expression, env: dict[Variable, Term]
+) -> SolutionMapping | None:
     """`seed` plus ?x = <c> for each top-level `&&` conjunct `?x = <c>`
     (either way round) of `condition`, or None when two of them, or one
-    and the seed, bind a variable to different terms.
+    and the seed, bind a variable to different terms. A conjunct
+    `?x = ?y` whose `?y` the environment `env` binds to <c> counts as
+    `?x = <c>`: it is what substituting the solution would have written.
+    A variable of `env` is a constant, never seeded itself.
 
     Only IRIs seed: `=` on IRIs is term identity, so a row the condition
     keeps binds ?x to exactly <c>. On literals `=` compares values, and
@@ -435,12 +469,48 @@ def _seed_equalities(seed: SolutionMapping, condition: Expression) -> SolutionMa
             stack += (e.right, e.left)
         elif isinstance(e, Compare) and e.op == "=":
             for a, b in ((e.left, e.right), (e.right, e.left)):
-                if isinstance(a, Var) and isinstance(b, Const) and b.term.is_iri:
+                if not isinstance(a, Var) or a.var in env:
+                    continue
+                if isinstance(b, Const):
+                    term = b.term
+                elif isinstance(b, Var):
+                    term = env.get(b.var)
+                else:
+                    continue
+                if term is not None and term.is_iri:
                     known = extra.get(a.var) or seed.get(a.var)
-                    if known is not None and known != b.term:
+                    if known is not None and known != term:
                         return None
-                    extra[a.var] = b.term
+                    extra[a.var] = term
     return seed.merged(SolutionMapping.of(extra)) if extra else seed
+
+
+@dataclass(frozen=True)
+class _Body:
+    """A nested pattern as `_exists` evaluates it: its normalized body,
+    the variables of a solution that `bind` reads, the `(g-key,
+    original)` pairs and the in-domain `(d-key, original)` pairs, and
+    whether SERVICE occurs anywhere in it. The pattern itself is held so
+    that its `id`, the memo key, is never reused."""
+
+    pattern: GraphPattern
+    node: GraphPattern
+    relevant: frozenset[Variable]
+    g: tuple[tuple[Variable, Variable], ...]
+    d: tuple[tuple[Variable, Variable], ...]
+    eager: bool
+
+    @classmethod
+    def of(cls, pattern: GraphPattern, prepared: Prepared) -> "_Body":
+        n = prepared.normalization
+        return cls(
+            pattern,
+            n.node,
+            prepared.relevant,
+            tuple(n.g.items()),
+            tuple((k, v) for k, v in n.d.items() if v in prepared.domain),
+            _holds_service(n.node),
+        )
 
 
 def _projection(p: SubSelect) -> frozenset[Variable]:

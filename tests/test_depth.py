@@ -60,7 +60,7 @@ def test_a_400_member_group(sem):
 
 
 @pytest.mark.parametrize(
-    "sem, depth", [(Semantics.S3, 22), (Semantics.S1, 150)], ids=["S3-22", "S1-150"]
+    "sem, depth", [(Semantics.S3, 22), (Semantics.S1, 180)], ids=["S3-22", "S1-180"]
 )
 def test_deeply_nested_exists(sem, depth):
     query = parse_query(nested_exists(depth))
