@@ -134,6 +134,98 @@ def match_bgp(
     return frozenset(iter_bgp(graph, bgp))
 
 
+# A triple pattern as a match reads it: its constants as (position,
+# term) pairs and its variables and blank nodes as (position, name)
+# pairs.
+Compiled = tuple[tuple[tuple[int, Term], ...], tuple[tuple[int, str], ...]]
+
+
+# One step of a match: a compiled pattern and its probes, the positions
+# whose name is bound before the pattern is read.
+Step = tuple[Compiled, tuple[tuple[int, str], ...]]
+
+
+class BGPPlan:
+    """What matching a BGP needs of its triple patterns, worked out
+    once: see `plan_bgp`."""
+
+    __slots__ = ("patterns", "variables", "output", "_orders")
+
+    def __init__(
+        self,
+        patterns: tuple[Compiled, ...],
+        variables: dict[str, Variable],
+        output: tuple[tuple[str, Variable], ...],
+    ) -> None:
+        self.patterns = patterns
+        # Each variable's name mapped to the variable.
+        self.variables = variables
+        # (name, variable) pairs sorted by name: a match's bindings.
+        self.output = output
+        # The steps of each set of seeded names asked for so far.
+        self._orders: dict[frozenset[str], tuple[Step, ...]] = {}
+
+    def steps(self, seeded: frozenset[str]) -> tuple[Step, ...]:
+        """The patterns in greedy order, with their probes, when the
+        variables named in `seeded` are bound first."""
+        steps = self._orders.get(seeded)
+        if steps is None:
+            bound = set(seeded)
+            out = []
+            for k in _greedy_order(self.patterns, bound):
+                tp = self.patterns[k]
+                out.append((tp, tuple([(i, name) for i, name in tp[1] if name in bound])))
+                bound.update([name for _, name in tp[1]])
+            # Two threads may both get here; each stores an equal tuple.
+            steps = self._orders[seeded] = tuple(out)
+        return steps
+
+
+def plan_bgp(patterns: Iterable[TriplePattern]) -> BGPPlan:
+    """Compile triple patterns for `iter_bgp`: split each into its
+    constants and its names, and sort the output variables.
+
+    A variable is named by its name, whose hash is cached; a blank node
+    by "_:label", which cannot collide with a variable name (':' is not
+    a legal variable-name character). The greedy order and the probe
+    positions depend only on which names a seed binds, so `steps`
+    computes them once per set of seeded names. Nothing in a plan reads
+    a graph, so one plan serves every graph. `cached_plan` keeps the plan
+    of a BGP node on the node.
+    """
+    compiled = []
+    variables: dict[str, Variable] = {}
+    for tp in patterns:
+        consts, names = [], []
+        for i, pos in enumerate(tp.positions()):
+            if isinstance(pos, Variable):
+                names.append((i, pos.name))
+                variables.setdefault(pos.name, pos)
+            elif pos.is_blank:
+                names.append((i, f"_:{pos.value}"))
+            else:
+                consts.append((i, pos))
+        compiled.append((tuple(consts), tuple(names)))
+    return BGPPlan(tuple(compiled), variables, tuple(sorted(variables.items())))
+
+
+def cached_plan(bgp: BGP) -> BGPPlan:
+    """The plan of a BGP node, built at its first match and kept for
+    every later one: every semantics, outer row and evaluator that
+    matches the node shares it.
+
+    The plan is kept in the node's instance dict, as
+    `functools.cached_property` would keep it, without that descriptor's
+    lock on a first access. It is no field of the frozen node, so
+    equality, hashing, `repr` and `map_children` never see it.
+    """
+    plan = bgp.__dict__.get("_plan")
+    if plan is None:
+        # Two threads that both built a plan go on with the same one.
+        plan = bgp.__dict__.setdefault("_plan", plan_bgp(bgp.triples))
+    return plan
+
+
 def iter_bgp(
     graph: Iterable[Triple],
     bgp: BGP | Iterable[TriplePattern],
@@ -141,6 +233,12 @@ def iter_bgp(
 ) -> Iterator[SolutionMapping]:
     """Yield the BGP's matches that are compatible with `seed`, one at
     a time, depth first.
+
+    The match runs the BGP's plan (`plan_bgp`). A `BGP` node keeps its
+    plan (`cached_plan`), so its patterns are compiled once per node and
+    ordered once per node and set of seeded names; any other iterable
+    of triple patterns is compiled on every call. What depends on
+    `graph` is chosen on every call.
 
     The match starts from `seed`: each seeded variable of the BGP is
     bound before any triple is read, and seed variables the BGP lacks
@@ -161,56 +259,36 @@ def iter_bgp(
     BGP: they constrain matching but are projected away, so the same
     mapping can be yielded more than once.
     """
-    patterns = bgp.triples if isinstance(bgp, BGP) else tuple(bgp)
-    if not patterns:
+    plan = cached_plan(bgp) if isinstance(bgp, BGP) else plan_bgp(bgp)
+    if not plan.patterns:
         yield EMPTY_MAPPING
         return
-    # Partial matches are keyed by variable name, whose hash is cached.
-    # A blank node is keyed as "_:label", which cannot collide with a
-    # variable name (':' is not a legal variable-name character).
-    compiled = []
-    variables: dict[str, Variable] = {}
-    for tp in patterns:
-        consts, names = [], []
-        for i, pos in enumerate(tp.positions()):
-            if isinstance(pos, Variable):
-                names.append((i, pos.name))
-                variables.setdefault(pos.name, pos)
-            elif pos.is_blank:
-                names.append((i, f"_:{pos.value}"))
-            else:
-                consts.append((i, pos))
-        compiled.append((tuple(consts), tuple(names)))
+    variables = plan.variables
     start = {k.name: v for k, v in seed.bindings if k.name in variables}
-    output = sorted(variables.items())
+    steps = plan.steps(frozenset(start))
+    output = plan.output
     indexed = isinstance(graph, Graph)
-    # steps[d] is the d-th pattern taken: its constants and names, the
-    # positions whose name is bound before it, and the shortest lookup
-    # list of its constants (None when it has none or `graph` is not
-    # indexed).
-    steps = []
-    bound = set(start)
-    for k in _greedy_order(compiled, bound):
-        consts, names = compiled[k]
-        probes = tuple((i, name) for i, name in names if name in bound)
-        bound.update(name for _, name in names)
-        shortest = None
+    # shortest[d] is the shortest lookup list of the constants of
+    # steps[d], or None when it has none or `graph` is not indexed.
+    shortest: list[tuple[Triple, ...] | None] = []
+    for (consts, _), _ in steps:
+        best = None
         if indexed:
             for i, term in consts:
                 found = graph.lookup(i, term)
-                if shortest is None or len(found) < len(shortest):
-                    shortest = found
-        steps.append(((consts, names), probes, shortest))
+                if best is None or len(found) < len(best):
+                    best = found
+        shortest.append(best)
 
     def candidates(depth: int, row: dict[str, Term]) -> Iterable[Triple]:
         if not indexed:
             return graph
-        _, probes, shortest = steps[depth]
-        for i, name in probes:
+        best = shortest[depth]
+        for i, name in steps[depth][1]:
             found = graph.lookup(i, row[name])
-            if shortest is None or len(found) < len(shortest):
-                shortest = found
-        return graph.triples if shortest is None else shortest
+            if best is None or len(found) < len(best):
+                best = found
+        return graph.triples if best is None else best
 
     last = len(steps) - 1
     # rows[d] is the partial match that steps[d] extends; scans[d] is
@@ -235,10 +313,7 @@ def iter_bgp(
             scans.append(iter(candidates(depth + 1, extended)))
 
 
-def _greedy_order(
-    compiled: list[tuple[tuple[tuple[int, Term], ...], tuple[tuple[int, str], ...]]],
-    bound: set[str],
-) -> list[int]:
+def _greedy_order(compiled: tuple[Compiled, ...], bound: set[str]) -> list[int]:
     """Pattern indices, each time the first one with the most bound
     positions, given the names in `bound` and those of the patterns
     taken before it."""
@@ -270,11 +345,7 @@ def _greedy_order(
     return order
 
 
-def _match_triple(
-    tp: tuple[tuple[tuple[int, Term], ...], tuple[tuple[int, str], ...]],
-    t: Triple,
-    row: dict[str, Term],
-) -> dict[str, Term] | None:
+def _match_triple(tp: Compiled, t: Triple, row: dict[str, Term]) -> dict[str, Term] | None:
     """`row` extended to match `t`, or None; `row` itself is not changed."""
     consts, names = tp
     terms = t.terms()

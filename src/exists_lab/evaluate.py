@@ -26,12 +26,20 @@ reads it from a lazy row source, `_rows`, and stops at the first row.
 projections, unions and joins, and hands every other node to the eager
 `_pattern`. It also takes a seed: it may leave out rows incompatible
 with it. BGPs start their match from the seed and read the graph's
-lookup lists instead of scanning it. A filter adds the variable of
-each `?x = <IRI>` conjunct to the seed, and of each `?x = ?y` conjunct
-whose `?y` the environment binds to an IRI. A nested pattern that
-holds SERVICE anywhere is decided by `_pattern` alone, so SERVICE
-raises wherever it raised before, even in a branch the stream would
-never reach. `docs/substitution-notes.md` gives the argument.
+lookup lists instead of scanning it. Each BGP node keeps its match plan
+(`algebra.plan_bgp`), so the nodes of one query, and of each prepared
+body, are compiled and ordered once for every semantics and row that
+reads them. A filter adds the variable of each `?x = <IRI>` conjunct to
+the seed, and of each `?x = ?y` conjunct whose `?y` the environment
+binds to an IRI. A nested pattern that holds SERVICE anywhere is
+decided by `_pattern` alone, so SERVICE raises wherever it raised
+before, even in a branch the stream would never reach; a query without
+SERVICE is walked once to show that none of its bodies holds one.
+`docs/substitution-notes.md` gives the argument.
+
+`Evaluator.solutions` evaluates a query as it is given. It does not
+expand `SELECT *`: a star sub-select projects its in-domain variables,
+which is what the expansion would write.
 """
 
 from __future__ import annotations
@@ -57,7 +65,10 @@ from .binding import Prepared, prepare
 from .binding import bind  # noqa: F401
 from .errors import UnsupportedFeatureError
 from .normalize import Semantics
-from .scope import expand_all_stars, in_domain
+from .scope import in_domain
+# Not called here any more; perfbench/spans.py still hooks the name
+# `exists_lab.evaluate.expand_all_stars`, which then records zero calls.
+from .scope import expand_all_stars  # noqa: F401
 from .syntax import (
     BGP,
     Add,
@@ -184,12 +195,28 @@ class Evaluator:
         # The g-keys of the normalized body being evaluated, mapped to
         # their terms; empty outside every EXISTS.
         self._env: dict[Variable, Term] = {}
+        # The query `solutions` evaluates, and whether it holds SERVICE,
+        # found at the first EXISTS body prepared for it (see `_eager`).
+        self._query: GraphPattern | None = None
+        self._query_service: bool | None = None
 
     def solutions(
         self, pattern: GraphPattern, graph: frozenset[Triple] | None = None
     ) -> frozenset:
+        """The solution set of `pattern` over `graph`, by default the
+        dataset's default graph.
+
+        A `SELECT *` sub-select may stay unexpanded: its projection is
+        read as its in-domain variables, which is what `expand_star`
+        would write, and `prepare` expands each EXISTS body. Expand a
+        query once, when it is parsed, not per evaluation.
+        """
         active = self.dataset.default if graph is None else graph
-        return self._pattern(expand_all_stars(pattern), active)
+        self._query, self._query_service = pattern, None
+        try:
+            return self._pattern(pattern, active)
+        finally:
+            self._query = None
 
     # -- patterns ------------------------------------------------------
 
@@ -382,7 +409,9 @@ class Evaluator:
         body = self._prepared.get(id(pattern))
         if body is None:
             prepared = prepare(pattern, self.semantics, s3_subselect_links=self._s3_links)
-            body = self._prepared[id(pattern)] = _Body.of(pattern, prepared)
+            body = self._prepared[id(pattern)] = _Body.of(
+                pattern, prepared, self._eager(prepared.normalization.node)
+            )
         known = mu.restricted(body.relevant)
         outer = [kv for kv in self._env.items() if kv[0] in body.relevant]
         if outer:
@@ -403,6 +432,22 @@ class Evaluator:
             finally:
                 self._env = enclosing
         return outcome
+
+    def _eager(self, body: GraphPattern) -> bool:
+        """Whether a prepared body must be decided by `_pattern`: whether
+        SERVICE occurs in it.
+
+        Preparing adds no SERVICE, so no body of a SERVICE-free query
+        holds one. The query `solutions` evaluates is walked once, at
+        the first body prepared for it; only when it holds SERVICE, or
+        without a query (`eval_expr`), is each body walked itself.
+        """
+        if self._query is not None:
+            if self._query_service is None:
+                self._query_service = _holds_service(self._query)
+            if not self._query_service:
+                return False
+        return _holds_service(body)
 
     def _and(self, e: And, mu: SolutionMapping, graph: frozenset[Triple]) -> ExprValue:
         left = ebv(self._expr(e.left, mu, graph))
@@ -490,8 +535,9 @@ class _Body:
     """A nested pattern as `_exists` evaluates it: its normalized body,
     the variables of a solution that `bind` reads, the `(g-key,
     original)` pairs and the in-domain `(d-key, original)` pairs, and
-    whether SERVICE occurs anywhere in it. The pattern itself is held so
-    that its `id`, the memo key, is never reused."""
+    whether it must be evaluated eagerly because SERVICE occurs in it.
+    The pattern itself is held so that its `id`, the memo key, is never
+    reused."""
 
     pattern: GraphPattern
     node: GraphPattern
@@ -501,7 +547,7 @@ class _Body:
     eager: bool
 
     @classmethod
-    def of(cls, pattern: GraphPattern, prepared: Prepared) -> "_Body":
+    def of(cls, pattern: GraphPattern, prepared: Prepared, eager: bool) -> "_Body":
         n = prepared.normalization
         return cls(
             pattern,
@@ -509,7 +555,7 @@ class _Body:
             prepared.relevant,
             tuple(n.g.items()),
             tuple((k, v) for k, v in n.d.items() if v in prepared.domain),
-            _holds_service(n.node),
+            eager,
         )
 
 
@@ -524,7 +570,9 @@ def _holds_service(node: GraphPattern) -> bool:
         n = stack.pop()
         if isinstance(n, ServiceNode):
             return True
-        stack.extend(children(n))
+        # A BGP's children are triple patterns, which hold no node.
+        if not isinstance(n, BGP):
+            stack.extend(children(n))
     return False
 
 
