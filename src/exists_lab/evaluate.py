@@ -20,21 +20,25 @@ enclosing environment) restricted to `Prepared.relevant`, and the
 active graph. `bind` reads nothing else of the solution, so the memo
 returns exactly what per-row `bind` would.
 
-Only the emptiness of a correlated pattern is observed, so `_exists`
-reads it from a lazy row source, `_rows`, and stops at the first row.
-`_rows` streams BGPs (through `iter_bgp`), filters, sub-select
-projections, unions and joins, and hands every other node to the eager
-`_pattern`. It also takes a seed: it may leave out rows incompatible
-with it. BGPs start their match from the seed and read the graph's
-lookup lists instead of scanning it. Each BGP node keeps its match plan
-(`algebra.plan_bgp`), so the nodes of one query, and of each prepared
-body, are compiled and ordered once for every semantics and row that
-reads them. A filter adds the variable of each `?x = <IRI>` conjunct to
-the seed, and of each `?x = ?y` conjunct whose `?y` the environment
-binds to an IRI. A nested pattern that holds SERVICE anywhere is
-decided by `_pattern` alone, so SERVICE raises wherever it raised
-before, even in a branch the stream would never reach; a query without
-SERVICE is walked once to show that none of its bodies holds one.
+Every pattern is evaluated by one lazy row source, `_rows`, which has a
+case for each node: a solution set is only what a caller collects from
+it (`_pattern`). So `_exists`, which observes only the emptiness of a
+correlated pattern, stops at the first row. `_rows` also takes a seed:
+it may leave out rows incompatible with it. BGPs start their match from
+the seed and read the graph's lookup lists instead of scanning it; every
+other node passes the seed to its left or inner side, and the right side
+of a join, OPTIONAL or MINUS is read whole. Each BGP node keeps its
+match plan (`algebra.plan_bgp`), so the nodes of one query, and of each
+prepared body, are compiled and ordered once for every semantics and
+row that reads them. A filter adds the variable of each `?x = <IRI>`
+conjunct to the seed, and of each `?x = ?y` conjunct whose `?y` the
+environment binds to an IRI.
+
+A stream reads less than a whole evaluation would: an EXISTS body from
+a seed and up to its first row, the left side of a join from a single
+right row's seed or not at all, a filter's pattern from its equalities.
+Wherever it does, `_unread` raises if the query holds SERVICE, so SERVICE
+raises wherever reading every row would have reached it.
 `docs/substitution-notes.md` gives the argument.
 
 `Evaluator.solutions` evaluates a query as it is given. It does not
@@ -53,15 +57,11 @@ from .algebra import (
     canonical_order,
     compatible,
     iter_bgp,
-    join,
-    left_join,
-    match_bgp,
-    minus,
-    union,
 )
 from .binding import Prepared, prepare
-# Not called here any more; perfbench/spans.py still hooks the name
-# `exists_lab.evaluate.bind`, which then records zero calls.
+# Not called here any more; perfbench/spans.py still hooks these names
+# in `exists_lab.evaluate`, which then record zero calls.
+from .algebra import join, left_join, match_bgp, minus  # noqa: F401
 from .binding import bind  # noqa: F401
 from .errors import UnsupportedFeatureError
 from .normalize import Semantics
@@ -196,7 +196,8 @@ class Evaluator:
         # their terms; empty outside every EXISTS.
         self._env: dict[Variable, Term] = {}
         # The query `solutions` evaluates, and whether it holds SERVICE,
-        # found at the first EXISTS body prepared for it (see `_eager`).
+        # found where the stream first leaves part of it unread (see
+        # `_unread`).
         self._query: GraphPattern | None = None
         self._query_service: bool | None = None
 
@@ -221,47 +222,8 @@ class Evaluator:
     # -- patterns ------------------------------------------------------
 
     def _pattern(self, p: GraphPattern, graph: frozenset[Triple]) -> frozenset:
-        match p:
-            case BGP():
-                return match_bgp(graph, p)
-            case Join():
-                return join(self._pattern(p.left, graph), self._pattern(p.right, graph))
-            case Union():
-                return union(self._pattern(p.left, graph), self._pattern(p.right, graph))
-            case Minus():
-                return minus(self._pattern(p.left, graph), self._pattern(p.right, graph))
-            case Optional():
-                return self._optional(p, graph)
-            case GraphNode():
-                return self._graph(p, graph)
-            case ServiceNode():
-                raise UnsupportedFeatureError("SERVICE evaluation unsupported")
-            case FilterNode():
-                inner = self._pattern(p.pattern, graph)
-                return frozenset(
-                    mu
-                    for mu in inner
-                    if ebv(self._expr(p.condition, mu, graph)).is_true
-                )
-            case BindNode():
-                return self._bind_node(p, graph)
-            case ValuesNode():
-                return frozenset(
-                    SolutionMapping.of(
-                        {
-                            v: cell
-                            for v, cell in zip(p.variables, row)
-                            if cell is not None
-                        }
-                    )
-                    for row in p.rows
-                )
-            case SubSelect():
-                inner = self._pattern(p.pattern, graph)
-                projection = _projection(p)
-                return frozenset(mu.restricted(projection) for mu in inner)
-            case _:
-                raise TypeError(f"not a graph pattern: {p!r}")
+        """The solution set of `p`: every row `_rows` produces."""
+        return frozenset(self._rows(p, graph))
 
     def _rows(
         self,
@@ -273,9 +235,9 @@ class Evaluator:
 
         Rows incompatible with `seed` may be left out; every row
         compatible with it is produced. BGPs start their match from the
-        seed, and joins, filters, sub-selects and unions pass it down.
-        Nodes other than those matched here ignore the seed and come
-        from `_pattern` whole.
+        seed, and every other node passes it to its left or inner side.
+        The right side of a join, OPTIONAL or MINUS is read whole, in
+        the order it streams, before the left side is read.
         """
         match p:
             case BGP():
@@ -284,8 +246,10 @@ class Evaluator:
                 # Every row the condition keeps binds each `?x = <IRI>`
                 # conjunct's variable to that IRI (see `_seed_equalities`).
                 inner = _seed_equalities(seed, p.condition, self._env)
-                if inner is None:
-                    return
+                if inner is not seed:
+                    self._unread(p)
+                    if inner is None:
+                        return
                 for mu in self._rows(p.pattern, graph, inner):
                     if ebv(self._expr(p.condition, mu, graph)).is_true:
                         yield mu
@@ -297,58 +261,88 @@ class Evaluator:
                 yield from self._rows(p.left, graph, seed)
                 yield from self._rows(p.right, graph, seed)
             case Join():
-                # The right side is whole first: when it is empty, the
-                # left side is never read. A single right row seeds the
-                # left side. With several, the left side is read once
-                # from `seed` alone: seeding it per right row would
-                # evaluate a left side that ignores seeds (OPTIONAL,
-                # say) once per row.
-                right = self._pattern(p.right, graph)
-                if not right:
-                    return
-                left_seed = seed.merged(next(iter(right))) if len(right) == 1 else seed
-                for m1 in self._rows(p.left, graph, left_seed):
+                # When the right side is empty, the left side is never
+                # read. A single right row seeds the left side. With
+                # several, the left side is read once from `seed` alone:
+                # seeding it per right row would evaluate a left side
+                # whose own right side is whole (OPTIONAL, say) once per
+                # row.
+                right = dict.fromkeys(self._rows(p.right, graph))
+                if len(right) <= 1:
+                    self._unread(p.left)
+                    if not right:
+                        return
+                    seed = seed.merged(next(iter(right)))
+                for m1 in self._rows(p.left, graph, seed):
                     for m2 in right:
                         if compatible(m1, m2):
                             yield m1.merged(m2)
+            case Optional():
+                # An inline filter on the right-hand group becomes the
+                # left-join condition, evaluated over the merged row.
+                right, condition = p.right, None
+                if isinstance(right, FilterNode):
+                    right, condition = right.pattern, right.condition
+                mates = dict.fromkeys(self._rows(right, graph))
+                for m1 in self._rows(p.left, graph, seed):
+                    alone = True
+                    for m2 in mates:
+                        if compatible(m1, m2):
+                            mu = m1.merged(m2)
+                            if condition is None or ebv(self._expr(condition, mu, graph)).is_true:
+                                alone = False
+                                yield mu
+                    if alone:
+                        yield m1
+            case Minus():
+                right = dict.fromkeys(self._rows(p.right, graph))
+                for m1 in self._rows(p.left, graph, seed):
+                    keys = m1.keys()
+                    if not any(compatible(m1, m2) and keys & m2.keys() for m2 in right):
+                        yield m1
+            case GraphNode():
+                if isinstance(p.name, Variable):
+                    for name in sorted(self.dataset.named):
+                        named = SolutionMapping.of({p.name: iri(name)})
+                        for mu in self._rows(p.pattern, self.dataset.named[name], seed):
+                            if compatible(mu, named):
+                                yield mu.merged(named)
+                else:
+                    named = self.dataset.graph(p.name.value)
+                    if named is not None:
+                        yield from self._rows(p.pattern, named, seed)
+            case BindNode():
+                for mu in self._rows(p.pattern, graph, seed):
+                    v = self._expr(p.expression, mu, graph)
+                    yield mu if v.is_error else mu.merged(SolutionMapping.of({p.var: v.term}))
+            case ValuesNode():
+                for row in p.rows:
+                    yield SolutionMapping.of(
+                        {v: cell for v, cell in zip(p.variables, row) if cell is not None}
+                    )
+            case ServiceNode():
+                raise UnsupportedFeatureError("SERVICE evaluation unsupported")
             case _:
-                yield from self._pattern(p, graph)
+                raise TypeError(f"not a graph pattern: {p!r}")
 
-    def _optional(self, p: Optional, graph: frozenset[Triple]) -> frozenset:
-        o1 = self._pattern(p.left, graph)
-        # An inline filter on the right-hand group becomes the left-join
-        # condition, evaluated over the merged solution.
-        right = p.right
-        if not isinstance(right, FilterNode):
-            return left_join(o1, self._pattern(right, graph))
-        return left_join(
-            o1,
-            self._pattern(right.pattern, graph),
-            condition=lambda mu: ebv(self._expr(right.condition, mu, graph)).is_true,
-        )
+    def _unread(self, node: GraphPattern) -> None:
+        """Raise `UnsupportedFeatureError` if SERVICE may occur in `node`,
+        which the stream is about to read only in part.
 
-    def _graph(self, p: GraphNode, graph: frozenset[Triple]) -> frozenset:
-        if isinstance(p.name, Variable):
-            out: frozenset = frozenset()
-            for name in sorted(self.dataset.named):
-                named = self.dataset.named[name]
-                bound_name = frozenset([SolutionMapping.of({p.name: iri(name)})])
-                out = union(out, join(self._pattern(p.pattern, named), bound_name))
-            return out
-        named = self.dataset.graph(p.name.value)
-        if named is None:
-            return frozenset()
-        return self._pattern(p.pattern, named)
-
-    def _bind_node(self, p: BindNode, graph: frozenset[Triple]) -> frozenset:
-        out: set[SolutionMapping] = set()
-        for mu in self._pattern(p.pattern, graph):
-            v = self._expr(p.expression, mu, graph)
-            if v.is_error:
-                out.add(mu)
-            else:
-                out.add(mu.merged(SolutionMapping.of({p.var: v.term})))
-        return frozenset(out)
+        With a query, whether the query holds SERVICE decides; it is
+        found at the first call and kept. Without one (`eval_expr`, or a
+        direct `_rows` call), `node` itself is walked. So SERVICE raises
+        wherever reading every row would have reached it, and also in
+        some places that reading would not.
+        """
+        if self._query is None:
+            held = _holds_service(node)
+        else:
+            if self._query_service is None:
+                self._query_service = _holds_service(self._query)
+            held = self._query_service
+        if held:
+            raise UnsupportedFeatureError("SERVICE evaluation unsupported")
 
     # -- expressions ---------------------------------------------------
 
@@ -401,17 +395,18 @@ class Evaluator:
         and seeded with `mu`'s in-domain values under their d-keys.
         `mu` here is the row in the enclosing body's names, read
         together with the enclosing environment. The environment is an
-        attribute, not a parameter, because the row sources keep their
-        signatures; that is safe for the lazy rows, since every stream
-        opened under an environment is consumed by `any` before this
-        call restores the enclosing one.
+        attribute, not a parameter, so that `_rows` keeps the signature
+        that subclasses override. That is safe for the lazy rows: every
+        stream opened under an environment is read by `any` and never
+        resumed after this call restores the enclosing one.
         """
         body = self._prepared.get(id(pattern))
         if body is None:
             prepared = prepare(pattern, self.semantics, s3_subselect_links=self._s3_links)
-            body = self._prepared[id(pattern)] = _Body.of(
-                pattern, prepared, self._eager(prepared.normalization.node)
-            )
+            body = _Body.of(pattern, prepared)
+            # The body is read from a seed and only up to its first row.
+            self._unread(body.node)
+            self._prepared[id(pattern)] = body
         known = mu.restricted(body.relevant)
         outer = [kv for kv in self._env.items() if kv[0] in body.relevant]
         if outer:
@@ -424,30 +419,11 @@ class Evaluator:
             seed = SolutionMapping.of((k, values[v]) for k, v in body.d if v in values)
             enclosing, self._env = self._env, env
             try:
-                if body.eager:
-                    rows = self._pattern(body.node, graph)
-                else:
-                    rows = self._rows(body.node, graph, seed)
+                rows = self._rows(body.node, graph, seed)
                 outcome = self._outcomes[key] = any(compatible(r, seed) for r in rows)
             finally:
                 self._env = enclosing
         return outcome
-
-    def _eager(self, body: GraphPattern) -> bool:
-        """Whether a prepared body must be decided by `_pattern`: whether
-        SERVICE occurs in it.
-
-        Preparing adds no SERVICE, so no body of a SERVICE-free query
-        holds one. The query `solutions` evaluates is walked once, at
-        the first body prepared for it; only when it holds SERVICE, or
-        without a query (`eval_expr`), is each body walked itself.
-        """
-        if self._query is not None:
-            if self._query_service is None:
-                self._query_service = _holds_service(self._query)
-            if not self._query_service:
-                return False
-        return _holds_service(body)
 
     def _and(self, e: And, mu: SolutionMapping, graph: frozenset[Triple]) -> ExprValue:
         left = ebv(self._expr(e.left, mu, graph))
@@ -534,9 +510,8 @@ def _seed_equalities(
 class _Body:
     """A nested pattern as `_exists` evaluates it: its normalized body,
     the variables of a solution that `bind` reads, the `(g-key,
-    original)` pairs and the in-domain `(d-key, original)` pairs, and
-    whether it must be evaluated eagerly because SERVICE occurs in it.
-    The pattern itself is held so that its `id`, the memo key, is never
+    original)` pairs and the in-domain `(d-key, original)` pairs. The
+    pattern itself is held so that its `id`, the memo key, is never
     reused."""
 
     pattern: GraphPattern
@@ -544,10 +519,9 @@ class _Body:
     relevant: frozenset[Variable]
     g: tuple[tuple[Variable, Variable], ...]
     d: tuple[tuple[Variable, Variable], ...]
-    eager: bool
 
     @classmethod
-    def of(cls, pattern: GraphPattern, prepared: Prepared, eager: bool) -> "_Body":
+    def of(cls, pattern: GraphPattern, prepared: Prepared) -> "_Body":
         n = prepared.normalization
         return cls(
             pattern,
@@ -555,7 +529,6 @@ class _Body:
             prepared.relevant,
             tuple(n.g.items()),
             tuple((k, v) for k, v in n.d.items() if v in prepared.domain),
-            eager,
         )
 
 

@@ -355,25 +355,6 @@ def normalize(
     return normalizer.pattern(node)
 
 
-def norm_s1(p: GraphPattern, *, fresh_start: int = 0) -> Normalization:
-    return normalize(p, Semantics.S1, fresh_start=fresh_start)
-
-
-def norm_s2(node: GraphPattern | Expression, *, fresh_start: int = 0) -> Normalization:
-    return normalize(node, Semantics.S2, fresh_start=fresh_start)
-
-
-def norm_s3(
-    node: GraphPattern | Expression,
-    *,
-    fresh_start: int = 0,
-    subselect_links: bool = True,
-) -> Normalization:
-    return normalize(
-        node, Semantics.S3, fresh_start=fresh_start, s3_subselect_links=subselect_links
-    )
-
-
 # -- structural checks used by tests and the CLI -----------------------
 
 

@@ -9,7 +9,6 @@ outcome. `PerRowEvaluator` keeps the definition.
 from __future__ import annotations
 
 import gc
-import importlib
 import random
 import weakref
 
@@ -25,15 +24,11 @@ from exists_lab import (
     sol,
 )
 from exists_lab import binding
-from exists_lab.algebra import EMPTY_MAPPING
 from exists_lab.fixtures import dataset
 
 from gen import random_graph
 from test_exists_memo import SETTINGS, PerRowEvaluator, deep_query, generated_case
-from test_seeded import chain_dataset
-
-# The package's `evaluate` function shadows the module of that name.
-evaluate_module = importlib.import_module("exists_lab.evaluate")
+from test_seeded import chain_dataset, rows_read_by_exists
 
 
 def cases():
@@ -64,20 +59,11 @@ def test_no_substituted_pattern_is_built(monkeypatch):
 def test_an_environment_iri_seeds_the_match(number, sem, monkeypatch):
     # `?chparent = ?parent` reads ?parent's g-key from the environment;
     # it seeds ?chparent as the substituted `?chparent = <c>` would.
-    rows = 0
-    real = evaluate_module.iter_bgp
-
-    def counting(graph, bgp, seed=EMPTY_MAPPING):
-        nonlocal rows
-        for mu in real(graph, bgp, seed):
-            rows += 1
-            yield mu
-
-    monkeypatch.setattr(evaluate_module, "iter_bgp", counting)
+    rows = rows_read_by_exists(monkeypatch)
     ev = Evaluator(chain_dataset(200), sem)
     got = ev.solutions(expand_all_stars(parse_query(fixture(number).query)))
     assert len(got) == 99 and len(ev._outcomes) == 100
-    assert rows <= len(ev._outcomes)
+    assert rows[0] <= len(ev._outcomes)
 
 
 def agree(ds, query, expected):

@@ -191,6 +191,49 @@ class TestLazyExists:
             evaluate(ds, q, sem)
 
     @pytest.mark.parametrize("sem", list(Semantics))
+    @pytest.mark.parametrize(
+        "where",
+        [
+            # The right side is empty, so the left side, and the
+            # SERVICE in it, is never read.
+            "SERVICE <urn:s> { ?x :p ?y } ?x :nomatch ?z",
+            # The single right row seeds the left side, so no row of it
+            # reaches the EXISTS.
+            "{ ?x :p ?y FILTER EXISTS { SERVICE <urn:s> { } } } VALUES (?x) { (:zzz) }",
+            # The `?x = :zzz` conjunct seeds the match, so no row reaches
+            # the EXISTS, which `&&` evaluates on every row.
+            "?x :p ?y FILTER (?x = :zzz && EXISTS { SERVICE <urn:s> { } })",
+        ],
+    )
+    def test_service_skipped_by_a_stream_still_raises(self, sem, where):
+        ds = parse_data(":a :p :b .")
+        with pytest.raises(UnsupportedFeatureError, match="SERVICE"):
+            evaluate(ds, parse_query(f"SELECT * WHERE {{ {where} }}"), sem)
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_service_in_an_exists_body_raises_from_eval_expr(self, sem):
+        ds = parse_data(":a :p :b .")
+        body = bgp((v("x"), ex("p"), v("y")))
+        e = Exists(Union(body, ServiceNode(ex("s"), body)))
+        with pytest.raises(UnsupportedFeatureError, match="SERVICE"):
+            eval_expr(ds, e, EMPTY_MAPPING, sem)
+
+    @pytest.mark.parametrize("sem", list(Semantics))
+    def test_a_query_holding_service_raises_at_its_first_exists_body(self, sem):
+        # Read whole, the OPTIONAL's right side has no row, so its
+        # condition, and the SERVICE in it, is never evaluated. The
+        # stream raises anyway: it reads each body only up to its first
+        # row, so a query that holds SERVICE raises wherever it prepares
+        # an EXISTS body.
+        ds = parse_data(":a :p :b .")
+        q = parse_query(
+            "SELECT * WHERE { ?x :p ?y FILTER EXISTS { ?x :p ?y"
+            " OPTIONAL { ?y :q ?w FILTER EXISTS { SERVICE <urn:s> {} } } } }"
+        )
+        with pytest.raises(UnsupportedFeatureError, match="SERVICE"):
+            evaluate(ds, q, sem)
+
+    @pytest.mark.parametrize("sem", list(Semantics))
     def test_a_ground_body_yields_the_empty_mapping_which_counts(self, sem):
         ds = parse_data(":a :p :b .")
         q = parse_query("SELECT * WHERE { ?x :p ?y FILTER EXISTS { :a :p :b } }")

@@ -36,9 +36,6 @@ from exists_lab import (
     fixture,
     integer,
     iri,
-    norm_s1,
-    norm_s2,
-    norm_s3,
     normalization_violations,
     normalize,
     parse_query,
@@ -142,7 +139,7 @@ class TestRename:
 
 class TestNormS1:
     def test_bgp(self):
-        got = norm_s1(bgp((v("child"), ex("parent"), v("parent"))))
+        got = normalize(bgp((v("child"), ex("parent"), v("parent"))), Semantics.S1)
         expected = Normalization(
             bgp((f("c1"), ex("parent"), f("p1"))),
             {f("c1"): v("child"), f("p1"): v("parent")},
@@ -152,7 +149,7 @@ class TestNormS1:
 
     def test_subselect_hides_unprojected_variable(self):
         inner = parse_query(fixture(2).query).pattern.condition.pattern
-        got = norm_s1(inner)
+        got = normalize(inner, Semantics.S1)
         assert set(got.d.values()) == {v("child")}
         assert got.g == {}
         # ?parent was renamed to an unrecorded fresh variable
@@ -161,7 +158,7 @@ class TestNormS1:
         assert all(var.origin == FRESH for var in pattern_vars)
 
     def test_empty_bgp(self):
-        got = norm_s1(BGP())
+        got = normalize(BGP(), Semantics.S1)
         assert got == Normalization(BGP(), {}, {})
 
 
@@ -172,7 +169,7 @@ class TestNormS2:
             bgp((ex("a"), ex("p"), v("x"))),
             FilterNode(bgp((ex("b"), ex("q"), v("y"))), Compare("<", Var(v("y")), Var(v("x")))),
         )
-        got = norm_s2(p)
+        got = normalize(p, Semantics.S2)
         expected = Normalization(
             Join(
                 bgp((ex("a"), ex("p"), f("x1"))),
@@ -191,7 +188,7 @@ class TestNormS2:
         # rewritten onto the pattern variable, ?parent stays substitutable,
         # ?chparent becomes local.
         inner = parse_query(fixture(3).query).pattern.condition.pattern
-        got = norm_s2(inner)
+        got = normalize(inner, Semantics.S2)
         expected = Normalization(
             SubSelect(
                 (f("c"),),
@@ -206,7 +203,7 @@ class TestNormS2:
         assert alpha_equivalent(got, expected)
 
     def test_exists_expression_wraps_pattern_with_links(self):
-        got = norm_s2(Exists(bgp((v("child"), ex("parent"), v("parent")))))
+        got = normalize(Exists(bgp((v("child"), ex("parent"), v("parent")))), Semantics.S2)
         c, p, y1, y2 = f("c"), f("p"), f("y1"), f("y2")
         expected = Normalization(
             Exists(
@@ -221,7 +218,7 @@ class TestNormS2:
         assert alpha_equivalent(got, expected)
 
     def test_expression_normalization_has_empty_d(self):
-        got = norm_s2(Compare("=", Var(v("a")), Const(integer(1))))
+        got = normalize(Compare("=", Var(v("a")), Const(integer(1))), Semantics.S2)
         assert got.d == {}
         assert set(got.g.values()) == {v("a")}
 
@@ -229,7 +226,7 @@ class TestNormS2:
 class TestNormS3:
     def test_subselect_links_hidden_domain_variable(self):
         inner = parse_query(fixture(2).query).pattern.condition.pattern
-        got = norm_s3(inner)
+        got = normalize(inner, Semantics.S3)
         c, p, y = f("c"), f("p"), f("y")
         expected = Normalization(
             SubSelect(
@@ -248,11 +245,11 @@ class TestNormS3:
             Optional(bgp((v("x"), ex("p"), v("y"))), bgp((v("y"), ex("q"), v("z")))),
         ]
         for p in cases:
-            assert alpha_equivalent(norm_s2(p), norm_s3(p))
+            assert alpha_equivalent(normalize(p, Semantics.S2), normalize(p, Semantics.S3))
 
     def test_minus_right_side_gains_one_link(self):
         p = Minus(bgp((v("a"), ex("p"), v("b"))), bgp((v("b"), ex("q"), v("v"))))
-        got = norm_s3(p)
+        got = normalize(p, Semantics.S3)
         a, b, w, y = f("a"), f("b"), f("w"), f("y")
         expected = Normalization(
             Minus(
@@ -266,17 +263,11 @@ class TestNormS3:
 
     def test_subselect_links_can_be_disabled(self):
         inner = parse_query(fixture(2).query).pattern.condition.pattern
-        downgraded = norm_s3(inner, subselect_links=False)
-        assert alpha_equivalent(downgraded, norm_s2(inner))
+        downgraded = normalize(inner, Semantics.S3, s3_subselect_links=False)
+        assert alpha_equivalent(downgraded, normalize(inner, Semantics.S2))
 
 
 class TestNormalizeDispatch:
-    def test_routes_by_semantics(self):
-        p = bgp((v("x"), ex("p"), v("y")))
-        assert alpha_equivalent(normalize(p, Semantics.S1), norm_s1(p))
-        assert alpha_equivalent(normalize(p, Semantics.S2), norm_s2(p))
-        assert alpha_equivalent(normalize(p, Semantics.S3), norm_s3(p))
-
     def test_s1_expression_is_rejected(self):
         with pytest.raises(UnsupportedFeatureError, match="S1 expression"):
             normalize(Compare("=", Var(v("x")), Const(integer(1))), Semantics.S1)
@@ -324,7 +315,7 @@ class TestInvariants:
             for part in parts[1:]:
                 ctor = rng.choice((Join, Union, Optional))
                 p = ctor(p, part)
-            n1, n2, n3 = norm_s1(p), norm_s2(p), norm_s3(p)
+            n1, n2, n3 = (normalize(p, sem) for sem in (Semantics.S1, Semantics.S2, Semantics.S3))
             assert n2.g == {} and n3.g == {}
             assert alpha_equivalent(n1, n2)
             assert alpha_equivalent(n2, n3)
@@ -337,13 +328,13 @@ class TestInvariants:
 
 class TestAlphaEquivalence:
     def test_detects_structural_difference(self):
-        a = norm_s2(bgp((v("x"), ex("p"), v("y"))))
-        b = norm_s2(bgp((v("x"), ex("q"), v("y"))))
+        a = normalize(bgp((v("x"), ex("p"), v("y"))), Semantics.S2)
+        b = normalize(bgp((v("x"), ex("q"), v("y"))), Semantics.S2)
         assert not alpha_equivalent(a, b)
 
     def test_detects_map_difference(self):
         p = bgp((v("x"), ex("p"), v("y")))
-        n = norm_s2(p)
+        n = normalize(p, Semantics.S2)
         twisted = Normalization(n.node, {k: v("zzz") for k in n.d}, dict(n.g))
         assert not alpha_equivalent(n, twisted)
 

@@ -4,7 +4,9 @@
 with `seed`, and `Evaluator._rows(p, graph, seed)` may only leave out
 rows incompatible with it. Both are checked against the unseeded
 reference: `match_bgp` over a plain list (scanned whole, no lookup
-table) and `Evaluator._pattern`.
+table), and the unseeded `_rows` collected by `Evaluator._pattern`.
+That reference shares the evaluator's code; `test_oracle.py` checks it
+beside an independent evaluator.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from exists_lab import (
     Evaluator,
     FilterNode,
     Graph,
+    Optional,
     Semantics,
     SolutionMapping,
     Triple,
@@ -265,24 +268,41 @@ def chain_dataset(people: int):
     return parse_data("\n".join(lines))
 
 
+def rows_read_by_exists(monkeypatch) -> list[int]:
+    """A one-item list that counts, from now on, each row `iter_bgp`
+    yields while an `Evaluator._exists` call runs: the rows read for
+    EXISTS bodies, and none of the outer pattern's."""
+    rows = [0]
+    depth = 0
+    real_iter, real_exists = evaluate_module.iter_bgp, Evaluator._exists
+
+    def counting(graph, bgp, seed=EMPTY_MAPPING):
+        for mu in real_iter(graph, bgp, seed):
+            rows[0] += depth > 0
+            yield mu
+
+    def exists(self, *args):
+        nonlocal depth
+        depth += 1
+        try:
+            return real_exists(self, *args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(evaluate_module, "iter_bgp", counting)
+    monkeypatch.setattr(Evaluator, "_exists", exists)
+    return rows
+
+
 @pytest.mark.parametrize("sem", list(Semantics))
 def test_fixture_1_reads_at_most_one_row_per_exists_outcome(sem, monkeypatch):
     # Counted in rows, not time: each outcome's match starts from the
     # VALUES row, so it reads the one triple naming ?parent as object.
-    rows = 0
-    real = evaluate_module.iter_bgp
-
-    def counting(graph, bgp, seed=EMPTY_MAPPING):
-        nonlocal rows
-        for mu in real(graph, bgp, seed):
-            rows += 1
-            yield mu
-
-    monkeypatch.setattr(evaluate_module, "iter_bgp", counting)
+    rows = rows_read_by_exists(monkeypatch)
     ev = Evaluator(chain_dataset(200), sem)
     got = ev.solutions(expand_all_stars(parse_query(fixture(1).query)))
     assert len(got) == 99 and len(ev._outcomes) == 100
-    assert rows <= len(ev._outcomes)
+    assert rows[0] <= len(ev._outcomes)
 
 
 def exists_call_counts() -> list[int]:
@@ -334,13 +354,13 @@ def test_exists_calls_do_not_depend_on_the_hash_seed():
 
 def test_a_join_with_many_right_rows_reads_its_left_side_once():
     # Seeding the left side per right row would evaluate the OPTIONAL,
-    # which ignores seeds, once for each of the 30 `:r` rows.
+    # whose right side is read whole, once for each of the 30 `:r` rows.
     class Counting(Evaluator):
         optionals = 0
 
-        def _optional(self, p, graph):
-            self.optionals += 1
-            return super()._optional(p, graph)
+        def _rows(self, p, graph, seed=EMPTY_MAPPING):
+            self.optionals += isinstance(p, Optional)
+            return super()._rows(p, graph, seed)
 
     lines = [f":x{i} :p :y{i} .\n:y{i} :q :z{i} .\n:u{i} :r :w{i} ." for i in range(30)]
     ds = parse_data("\n".join(lines) + "\n:o :s :t .")
